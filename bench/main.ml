@@ -165,9 +165,6 @@ let config_json c =
       ("e18_keys", Jsonx.Int c.e18_keys);
       ("e18_value_bytes", Jsonx.Int c.e18_value_bytes);
       ("e18_round_budget", Jsonx.Int c.e18_round_budget);
-      ( "backends",
-        Jsonx.List
-          (List.map (fun k -> Jsonx.String k) (Vstamp_core.Backend.keys ())) );
     ]
 
 let section title =
@@ -261,7 +258,6 @@ let fig3 () =
 let e1_trackers =
   [
     Tracker.stamps;
-    Tracker.stamps_packed;
     Tracker.version_vectors;
     Tracker.dynamic_vv;
     itc_tracker;
@@ -713,17 +709,6 @@ let make_deep_list_stamp depth =
   in
   go Stamp.Over_list.seed depth
 
-let make_deep_packed_stamp depth =
-  let rec go s k =
-    if k = 0 then s
-    else
-      let a, b = Stamp.Over_packed.fork (Stamp.Over_packed.update s) in
-      go
-        (Stamp.Over_packed.join ~reduce:false (Stamp.Over_packed.update a) b)
-        (k - 1)
-  in
-  go Stamp.Over_packed.seed depth
-
 (* Latency cases as plain (group, name, thunk) triples so they can be
    screened against the per-case time budget before bechamel sees them;
    names reproduce the historical bechamel keys ("ops/stamp/join d8",
@@ -777,12 +762,9 @@ let latency_cases () =
       fun () -> ignore (Vstamp_codec.Wire.stamp_of_string wire8) );
   ]
 
-(* ablation A: representation choice (trie vs sorted list vs hash-consed
-   trie) as id fragmentation deepens; the depth sweep makes the scaling
-   shape visible, not just one point.  The packed lanes deliberately
-   benchmark the steady state — interning and memo tables warm — since
-   that is how a long-lived replica runs; the first-call cost is the
-   tree lane's. *)
+(* ablation A: representation choice (the production trie vs the sorted
+   list specification) as id fragmentation deepens; the depth sweep
+   makes the scaling shape visible, not just one point. *)
 let ablation_cases () =
   let depths = [ 2; 4; 8; 12 ] in
   List.concat_map
@@ -791,8 +773,6 @@ let ablation_cases () =
       let tree_o = snd (Stamp.fork tree) in
       let lst = make_deep_list_stamp d in
       let lst_o = snd (Stamp.Over_list.fork lst) in
-      let pkd = make_deep_packed_stamp d in
-      let pkd_o = snd (Stamp.Over_packed.fork pkd) in
       [
         ( "ablation",
           Printf.sprintf "tree/leq:%d" d,
@@ -801,26 +781,17 @@ let ablation_cases () =
           Printf.sprintf "list/leq:%d" d,
           fun () -> ignore (Stamp.Over_list.leq lst lst_o) );
         ( "ablation",
-          Printf.sprintf "packed/leq:%d" d,
-          fun () -> ignore (Stamp.Over_packed.leq pkd pkd_o) );
-        ( "ablation",
           Printf.sprintf "tree/join:%d" d,
           fun () -> ignore (Stamp.join tree tree_o) );
         ( "ablation",
           Printf.sprintf "list/join:%d" d,
           fun () -> ignore (Stamp.Over_list.join lst lst_o) );
         ( "ablation",
-          Printf.sprintf "packed/join:%d" d,
-          fun () -> ignore (Stamp.Over_packed.join pkd pkd_o) );
-        ( "ablation",
           Printf.sprintf "tree/reduce:%d" d,
           fun () -> ignore (Stamp.reduce tree) );
         ( "ablation",
           Printf.sprintf "list/reduce:%d" d,
           fun () -> ignore (Stamp.Over_list.reduce lst) );
-        ( "ablation",
-          Printf.sprintf "packed/reduce:%d" d,
-          fun () -> ignore (Stamp.Over_packed.reduce pkd) );
       ])
     depths
 
@@ -933,15 +904,6 @@ let e11 ~cfg () =
            in
            let throughput f = float_of_int n /. best_of f in
            let plain = throughput (fun () -> run ()) in
-           (* same workload over the hash-consed backend, unmonitored:
-              how much of the monitorable budget the representation
-              itself buys back *)
-           let packed_plain =
-             throughput (fun () ->
-                 ignore
-                   (System.run ~with_oracle:false Tracker.stamps_packed ops
-                     : System.result))
-           in
            let monitored = throughput (fun () -> run ~check_invariants:true ()) in
            let sampled =
              throughput (fun () -> run ~check_invariants:true ~sampling ())
@@ -955,7 +917,6 @@ let e11 ~cfg () =
                wname;
                string_of_int n;
                Printf.sprintf "%.2e" plain;
-               Printf.sprintf "%.2e" packed_plain;
                Printf.sprintf "%.2e" monitored;
                Printf.sprintf "%.2e" sampled;
                Printf.sprintf "%.2e" recording;
@@ -967,7 +928,6 @@ let e11 ~cfg () =
                  [
                    ("ops", Vstamp_obs.Jsonx.Int n);
                    ("plain_ops_per_s", Vstamp_obs.Jsonx.Float plain);
-                   ("packed_plain_ops_per_s", Vstamp_obs.Jsonx.Float packed_plain);
                    ("monitored_ops_per_s", Vstamp_obs.Jsonx.Float monitored);
                    ("sampled_ops_per_s", Vstamp_obs.Jsonx.Float sampled);
                    ("recording_ops_per_s", Vstamp_obs.Jsonx.Float recording);
@@ -985,7 +945,6 @@ let e11 ~cfg () =
         "workload";
         "ops";
         "plain ops/s";
-        "packed";
         "full mon";
         Printf.sprintf "1-in-%d" cfg.e11_every_n;
         "+recording";
@@ -1576,7 +1535,7 @@ let e17 ~cfg () =
    stay within 2x of the minimal delta. *)
 let e18 ~cfg () =
   section "E18: networked anti-entropy - wire bytes vs minimal delta";
-  let module N = Vstamp_net.Node.Make (Vstamp_core.Backend.Over_tree) in
+  let module N = Vstamp_net.Node in
   let value node k =
     let tag = Printf.sprintf "e18/n%d/k%03d:" node k in
     let b = Buffer.create (cfg.e18_value_bytes + String.length tag) in
@@ -1595,8 +1554,7 @@ let e18 ~cfg () =
         let peers = List.map (fun (_, _, n) -> ("127.0.0.1", N.port n)) acc in
         let node =
           N.create ~registry ~interval_s:60.0 ~idle_timeout_s:10.0
-            ~node_id:(Printf.sprintf "bench-n%d" i)
-            ~backend:Vstamp_core.Backend.default_key ~port:0 ~peers ()
+            ~node_id:(Printf.sprintf "bench-n%d" i) ~port:0 ~peers ()
         in
         go (i + 1) ((i, registry, node) :: acc)
     in
@@ -1711,8 +1669,12 @@ let e18 ~cfg () =
    partition-of-unity audit verdict).  /9 keeps every /8 field and
    adds the E18 net block (bytes on the wire for a real 3-node TCP
    cluster against the engine ledger's minimal delta, with the
-   2x overhead budget verdict). *)
-let bench_json_schema = "vstamp-bench-core/9"
+   2x overhead budget verdict).  /10 drops what only the retired
+   hash-consed name representation produced: the E3 [packed/*]
+   ablation lanes, E11 [packed_plain_ops_per_s], the E1 packed size
+   rows and the config block's [backends] list; every other /9 field
+   is kept. *)
+let bench_json_schema = "vstamp-bench-core/10"
 
 let write_bench_json ~opts ~cfg ~elapsed_s ~sizes ~reduction ~latencies
     ~monitor_overhead ~sampling_sweep ~convergence ~recorder ~trace ~idspace

@@ -114,13 +114,20 @@ let reduce_cmd =
 
 (* --- simulate --- *)
 
-(* The stamp trackers come from the backend registry (one per
-   registered name backend); only the baselines are spelled out. *)
-let tracker_names () =
-  List.map Tracker.name (Tracker.of_registry ())
-  @ [ "stamps-noreduce"; "vv"; "dvv"; "oracle"; "plausible-<slots>" ]
+let tracker_names =
+  [
+    "stamps";
+    "stamps-list";
+    "stamps-noreduce";
+    "vv";
+    "dvv";
+    "oracle";
+    "plausible-<slots>";
+  ]
 
 let tracker_of_name = function
+  | "stamps" -> Ok Tracker.stamps
+  | "stamps-list" -> Ok Tracker.stamps_list
   | "stamps-noreduce" -> Ok Tracker.stamps_nonreducing
   | "vv" -> Ok Tracker.version_vectors
   | "dvv" -> Ok Tracker.dynamic_vv
@@ -129,40 +136,11 @@ let tracker_of_name = function
       match int_of_string_opt (String.sub s 10 (String.length s - 10)) with
       | Some k when k > 0 -> Ok (Tracker.plausible k)
       | _ -> Error (`Msg "plausible-<slots> needs a positive slot count"))
-  | s -> (
-      match
-        List.find_opt
-          (fun t -> String.equal (Tracker.name t) s)
-          (Tracker.of_registry ())
-      with
-      | Some t -> Ok t
-      | None ->
-          Error
-            (`Msg
-               (Printf.sprintf "unknown tracker %S (known: %s)" s
-                  (String.concat ", " (tracker_names ())))))
-
-(* --backend KEY is shorthand for the stamp tracker over that name
-   backend; the valid set is whatever the registry holds. *)
-let tracker_for_backend key =
-  match Backend.find key with
-  | None ->
+  | s ->
       Error
         (`Msg
-           (Printf.sprintf "unknown backend %S (valid: %s)" key
-              (String.concat ", " (Backend.keys ()))))
-  | Some _ -> tracker_of_name (Tracker.stamp_tracker_name key)
-
-let backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          (Printf.sprintf
-             "Name backend for the stamp tracker: %s.  Shorthand for \
-              --tracker stamps[-BACKEND]; overrides --tracker."
-             (String.concat ", " (Backend.keys ()))))
+           (Printf.sprintf "unknown tracker %S (known: %s)" s
+              (String.concat ", " tracker_names)))
 
 let tracker_conv =
   Arg.conv
@@ -218,17 +196,14 @@ let sampling_of sample_every sample_prob =
   | Some _, Some _ ->
       Error (`Msg "--sample-every and --sample-prob are mutually exclusive")
 
-let simulate tracker backend workload seed n_ops no_oracle trace_file
-    metrics_out check_invariants sample_every sample_prob violation_out =
-  let tracker_or_err =
-    match backend with None -> Ok tracker | Some key -> tracker_for_backend key
-  in
+let simulate tracker workload seed n_ops no_oracle trace_file metrics_out
+    check_invariants sample_every sample_prob violation_out =
   let ops_or_err = load_ops ~workload ~seed ~n_ops trace_file in
-  match (tracker_or_err, ops_or_err, sampling_of sample_every sample_prob) with
-  | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
+  match (ops_or_err, sampling_of sample_every sample_prob) with
+  | Error (`Msg m), _ | _, Error (`Msg m) ->
       Format.eprintf "error: %s@." m;
       exit 1
-  | Ok tracker, Ok ops, Ok sampling ->
+  | Ok ops, Ok sampling ->
       with_metrics_sink metrics_out (fun sink ->
           try
             let registry = Vstamp_obs.Registry.create () in
@@ -263,7 +238,7 @@ let simulate_cmd =
       value
       & opt tracker_conv Tracker.stamps
       & info [ "t"; "tracker" ] ~docv:"TRACKER"
-          ~doc:("Mechanism: " ^ String.concat ", " (tracker_names ())))
+          ~doc:("Mechanism: " ^ String.concat ", " tracker_names))
   in
   let workload =
     Arg.(
@@ -341,7 +316,7 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Run a workload over a tracking mechanism and report size/accuracy")
     Term.(
-      const simulate $ tracker $ backend_arg $ workload $ seed $ n_ops
+      const simulate $ tracker $ workload $ seed $ n_ops
       $ no_oracle $ trace_file $ metrics_out $ check_invariants $ sample_every
       $ sample_prob $ violation_out)
 
@@ -887,7 +862,13 @@ let bench_diff ignore_config limit old_file new_file =
       let worse = List.length (BS.regressions ~tolerance:0.0 deltas) in
       let better = List.length (BS.improvements ~tolerance:0.0 deltas) in
       Format.printf "@.%d comparable metrics: %d worse, %d better, %d equal@."
-        n worse better (n - worse - better)
+        n worse better (n - worse - better);
+      let missing = BS.missing_metrics ~baseline current in
+      if missing <> [] then begin
+        Format.printf "@.%d baseline metrics missing from the current run:@."
+          (List.length missing);
+        List.iter (Format.printf "  %s@.") missing
+      end
 
 let bench_diff_cmd =
   let old_file =
@@ -923,15 +904,27 @@ let bench_check baseline_file current_file tolerance ignore_config limit =
   | Ok deltas -> (
       let regs = BS.regressions ~tolerance deltas in
       let imps = BS.improvements ~tolerance deltas in
+      (* under one config every baseline lane must still be measured; a
+         lane that vanished would otherwise pass unseen *)
+      let missing =
+        match BS.config_compatibility ~baseline ~current with
+        | `Same -> BS.missing_metrics ~baseline current
+        | `Unknown | `Mismatch _ -> []
+      in
       Format.printf
         "checked %d metrics of %s %a against baseline %s %a (tolerance \
          %.1f%%)@."
         (List.length deltas) current_file pp_run_id current baseline_file
         pp_run_id baseline tolerance;
+      if missing <> [] then begin
+        Format.printf "@.MISSING (baseline metrics the current run lacks):@.@.";
+        List.iter (Format.printf "  %s@.") missing
+      end;
       match regs with
-      | [] ->
+      | [] when missing = [] ->
           Format.printf "OK: no regressions beyond %.1f%%; %d improvements@."
             tolerance (List.length imps)
+      | [] -> exit 1
       | _ ->
           Format.printf "@.REGRESSIONS (worse by more than %.1f%%):@.@."
             tolerance;
@@ -973,7 +966,9 @@ let bench_check_cmd =
     (Cmd.info "check"
        ~doc:
          "Regression gate: exit non-zero when any metric of the current run \
-          is worse than the baseline by more than the tolerance")
+          is worse than the baseline by more than the tolerance, or when \
+          the runs share a config and a baseline metric is missing from \
+          the current run")
     Term.(
       const bench_check $ baseline_file $ current_file $ tolerance
       $ ignore_config $ limit)
@@ -1314,18 +1309,11 @@ let parse_hostport ~flag spec =
       | _ -> die "%s %s: expected HOST:PORT" flag spec)
   | None -> die "%s %s: expected HOST:PORT" flag spec
 
-let soak port addr duration iterations n_ops seed backend sample_every
-    sample_prob checkpoint_every history events_out port_file quiet
-    partition_weather churn_rate rules_file retention record_every tsdb_out
-    node_id span_out trace_parent stamp_seed net_port net_peers =
-  let tracker =
-    match backend with
-    | None -> Tracker.stamps
-    | Some key -> (
-        match tracker_for_backend key with
-        | Ok t -> t
-        | Error (`Msg m) -> die "%s" m)
-  in
+let soak port addr duration iterations n_ops seed sample_every sample_prob
+    checkpoint_every history events_out port_file quiet partition_weather
+    churn_rate rules_file retention record_every tsdb_out node_id span_out
+    trace_parent stamp_seed net_port net_peers =
+  let tracker = Tracker.stamps in
   (match partition_weather with
   | Some s when not (s >= 0.0 && s <= 1.0) ->
       die "--partition-weather needs a severity in [0, 1]"
@@ -1443,14 +1431,12 @@ let soak port addr duration iterations n_ops seed backend sample_every
     match net_port with
     | None -> None
     | Some sync_port ->
-        let bkey = Option.value ~default:Backend.default_key backend in
         let peers = List.map (parse_hostport ~flag:"--net-peer") net_peers in
-        let module B = (val Backend.get bkey) in
-        let module N = Vstamp_net.Node.Make (B) in
+        let module N = Vstamp_net.Node in
         let node =
           try
-            N.create ~registry ~interval_s:0.5 ~addr ~node_id ~backend:bkey
-              ~port:sync_port ~peers ()
+            N.create ~registry ~interval_s:0.5 ~addr ~node_id ~port:sync_port
+              ~peers ()
           with Unix.Unix_error (e, _, _) ->
             die "cannot bind %s:%d: %s" addr sync_port (Unix.error_message e)
         in
@@ -1661,7 +1647,7 @@ let soak port addr duration iterations n_ops seed backend sample_every
    and on shutdown merges every node's span log into one causally
    ordered Chrome trace plus a causal-ordering validation report. *)
 
-let soak_cluster n port addr duration iterations n_ops seed backend quiet
+let soak_cluster n port addr duration iterations n_ops seed quiet
     partition_weather rules_file record_every port_file dir net net_base_port
     =
   if n < 2 then die "--cluster needs at least 2 workers";
@@ -1706,7 +1692,6 @@ let soak_cluster n port addr duration iterations n_ops seed backend quiet
         | None -> []
         | Some s -> [ "--partition-weather"; string_of_float s ])
       @ (match rules_file with None -> [] | Some f -> [ "--rules"; f ])
-      @ (match backend with None -> [] | Some b -> [ "--backend"; b ])
       @ (if not net then []
          else
            (* real-TCP anti-entropy: deterministic sync ports base+i,
@@ -2122,19 +2107,19 @@ let soak_cmd =
           ~doc:"First sync port for --cluster --net (worker i gets \
                 PORT+i)")
   in
-  let wrap port addr duration iterations n_ops seed backend sample_every
-      sample_prob checkpoint_every history no_history events_out port_file
-      quiet partition_weather churn rules retention record_every tsdb_out
-      node_id span_out trace_parent stamp_seed cluster cluster_dir net_port
-      net_peer net net_base_port =
+  let wrap port addr duration iterations n_ops seed sample_every sample_prob
+      checkpoint_every history no_history events_out port_file quiet
+      partition_weather churn rules retention record_every tsdb_out node_id
+      span_out trace_parent stamp_seed cluster cluster_dir net_port net_peer
+      net net_base_port =
     if cluster > 0 then
-      soak_cluster cluster port addr duration iterations n_ops seed backend
-        quiet partition_weather rules record_every port_file cluster_dir net
+      soak_cluster cluster port addr duration iterations n_ops seed quiet
+        partition_weather rules record_every port_file cluster_dir net
         net_base_port
     else begin
       if net then die "--net needs --cluster (use --net-port standalone)";
-      soak port addr duration iterations n_ops seed backend sample_every
-        sample_prob checkpoint_every
+      soak port addr duration iterations n_ops seed sample_every sample_prob
+        checkpoint_every
         (if no_history then None else history)
         events_out port_file quiet partition_weather churn rules retention
         record_every tsdb_out node_id span_out trace_parent stamp_seed
@@ -2156,7 +2141,7 @@ let soak_cmd =
           mesh")
     Term.(
       const wrap $ port $ addr $ duration $ iterations $ n_ops $ seed
-      $ backend_arg $ sample_every $ sample_prob $ checkpoint_every $ history
+      $ sample_every $ sample_prob $ checkpoint_every $ history
       $ no_history $ events_out $ port_file $ quiet $ partition_weather
       $ churn $ rules $ retention $ record_every $ tsdb_out $ node_id
       $ span_out $ trace_parent $ stamp_seed $ cluster $ cluster_dir
@@ -2461,16 +2446,8 @@ module Obs_conv = Vstamp_obs.Convergence
 (* Sim mode: run the Lag convergence scenario and render its report —
    the divergence matrix at quiescence, per-replica staleness, the
    convergence timing and the sync-delta ledger. *)
-let lag_sim tracker backend replicas rounds p_update syncs_per_round severity
-    seed epoch json =
-  let tracker =
-    match backend with
-    | None -> tracker
-    | Some key -> (
-        match tracker_for_backend key with
-        | Ok t -> t
-        | Error (`Msg m) -> die "%s" m)
-  in
+let lag_sim tracker replicas rounds p_update syncs_per_round severity seed
+    epoch json =
   if not (severity >= 0.0 && severity <= 1.0) then
     die "--severity needs a value in [0, 1]";
   if replicas < 2 then die "--replicas needs at least 2";
@@ -2663,14 +2640,14 @@ let lag_cmd =
           ~doc:"Socket timeout for the live fetch")
   in
   let retry = retry_arg in
-  let wrap host port timeout retry tracker backend replicas rounds p_update
+  let wrap host port timeout retry tracker replicas rounds p_update
       syncs_per_round severity seed epoch json =
     if retry < 0 then die "--retry needs a non-negative count";
     match port with
     | Some p -> lag_live host p timeout retry json
     | None ->
-        lag_sim tracker backend replicas rounds p_update syncs_per_round
-          severity seed epoch json
+        lag_sim tracker replicas rounds p_update syncs_per_round severity seed
+          epoch json
   in
   Cmd.v
     (Cmd.info "lag"
@@ -2681,9 +2658,8 @@ let lag_cmd =
           ledger — or, with --port, render the live /lag.json view of a \
           soaking process")
     Term.(
-      const wrap $ host $ port $ timeout $ retry $ tracker_arg $ backend_arg
-      $ replicas $ rounds $ p_update $ syncs_per_round $ severity $ seed
-      $ epoch $ json)
+      const wrap $ host $ port $ timeout $ retry $ tracker_arg $ replicas
+      $ rounds $ p_update $ syncs_per_round $ severity $ seed $ epoch $ json)
 
 (* --- churn: the identity-space observatory's scenario --- *)
 
@@ -3478,16 +3454,10 @@ let report_cmd =
    vstamp-sync/1 framed protocol (lib/net), converging with its peers
    through periodic anti-entropy rounds, with the HTTP observability
    plane (/metrics, /healthz, /stats.json, /peers.json) embedded. *)
-let serve sync_port http_port addr peers node_id backend_key interval
-    duration puts port_file quiet =
+let serve sync_port http_port addr peers node_id interval duration puts
+    port_file quiet =
   if interval <= 0.0 then die "--interval needs a positive cadence";
   if duration < 0.0 then die "--duration needs a non-negative duration";
-  let backend_key = Option.value ~default:Backend.default_key backend_key in
-  (match Backend.find backend_key with
-  | Some _ -> ()
-  | None ->
-      die "unknown backend %S (valid: %s)" backend_key
-        (String.concat ", " (Backend.keys ())));
   let peers = List.map (parse_hostport ~flag:"--peer") peers in
   let puts =
     List.map
@@ -3505,12 +3475,11 @@ let serve sync_port http_port addr peers node_id backend_key interval
     | None -> Printf.sprintf "%s-%d" (Unix.gethostname ()) (Unix.getpid ())
   in
   let registry = Obs_registry.create () in
-  let module B = (val Backend.get backend_key) in
-  let module N = Vstamp_net.Node.Make (B) in
+  let module N = Vstamp_net.Node in
   let node =
     try
-      N.create ~registry ~interval_s:interval ~addr ~node_id
-        ~backend:backend_key ~port:sync_port ~peers ()
+      N.create ~registry ~interval_s:interval ~addr ~node_id ~port:sync_port
+        ~peers ()
     with Unix.Unix_error (e, _, _) ->
       die "cannot bind %s:%d: %s" addr sync_port (Unix.error_message e)
   in
@@ -3638,7 +3607,7 @@ let serve_cmd =
           /healthz, /stats.json and /peers.json served per node")
     Term.(
       const serve $ sync_port $ http_port $ addr $ peers $ node_id
-      $ backend_arg $ interval $ duration $ puts $ port_file $ quiet)
+      $ interval $ duration $ puts $ port_file $ quiet)
 
 (* --- main --- *)
 

@@ -76,7 +76,7 @@ let () =
   let survivor = Stamp.join a bdc in
   Format.printf "@.  partition heals; replicas merge back@.";
   Format.printf "    survivor: %a (id space healed: %b)@." Stamp.pp survivor
-    (Backend.Over_tree.Name.is_bottom (Stamp.id survivor));
+    (Name_tree.is_bottom (Stamp.id survivor));
 
   (* Version vectors in the same story needed four served ids before any
      of this could happen. *)

@@ -64,7 +64,7 @@ let () =
   in
   let stamps = Execution.Run_stamps.run trace in
   let hists = Execution.Run_histories.run trace in
-  let module Corr = Correspondence.Make (Stamp.Over_tree) in
+  let module Corr = Correspondence.Make (Stamp) in
   Format.printf
     "  Running Figure 2's trace over stamps and histories in lockstep:@.";
   Format.printf "  Proposition 5.1 (all elements x, all subsets S): %s@."

@@ -7,41 +7,20 @@
     [[ 1 | 00 + 01 + 1 ]].
 
     Parsing validates antichain-ness of each component and invariant I1
-    across them, so every parsed stamp is well-formed.
-
-    Like {!Wire}, the codec is generic in the name backend: {!Make}
-    builds it for any {!Vstamp_core.Backend.S}; the top-level functions
-    are the default (tree) instantiation. *)
+    across them, so every parsed stamp is well-formed. *)
 
 type error = { position : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Output signature of {!Make}. *)
-module type CODEC = sig
-  type name
+val name_of_string : string -> (Vstamp_core.Name_tree.t, error) result
+(** Parse one name, consuming the whole input. *)
 
-  type stamp
+val name_to_string : Vstamp_core.Name_tree.t -> string
 
-  val name_of_string : string -> (name, error) result
-  (** Parse one name, consuming the whole input. *)
+val stamp_of_string : string -> (Vstamp_core.Stamp.t, error) result
+(** Parse one stamp, consuming the whole input. *)
 
-  val name_to_string : name -> string
-
-  val stamp_of_string : string -> (stamp, error) result
-  (** Parse one stamp, consuming the whole input. *)
-
-  val stamp_to_string : stamp -> string
-  (** Same output as the backend's [Stamp.to_string]; round-trips
-      through {!stamp_of_string}. *)
-end
-
-module Make (B : Vstamp_core.Backend.S) :
-  CODEC with type name = B.Name.t and type stamp = B.Stamp.t
-(** The text codec over any name backend. *)
-
-include
-  CODEC
-    with type name = Vstamp_core.Stamp.name
-     and type stamp = Vstamp_core.Stamp.t
-(** The default-backend codec. *)
+val stamp_to_string : Vstamp_core.Stamp.t -> string
+(** Same output as {!Vstamp_core.Stamp.to_string}; round-trips through
+    {!stamp_of_string}. *)

@@ -9,14 +9,13 @@ let pp_error ppf = function
   | Malformed what -> Format.fprintf ppf "malformed input: %s" what
 
 (* Names serialize through a local canonical trie, rebuilt from the
-   member list of whichever backend the functor is applied to:
+   member list of the name:
      1        -> Node, followed by the left then right subtree
      0 0      -> Empty
      0 1      -> Mark
    The trie of an antichain is unique (it is the prefix tree of the
    members with no [Node (Empty, Empty)]), so the encoding is one-to-one
-   with antichains regardless of the in-memory representation: two
-   backends holding the same name produce byte-identical output, and the
+   with antichains regardless of the in-memory representation, and the
    bytes match the historical format (which wrote {!Name_tree}'s
    structure directly — that structure {e is} this trie). *)
 
@@ -67,92 +66,73 @@ let rec read_trie r =
   else if Bitio.Reader.bit r then Mark
   else Empty
 
-module type CODEC = sig
-  type name
+let write_name w n = write_trie w (trie_of_members (Name_tree.to_list n))
 
-  type stamp
+let read_name r = Name_tree.of_list (members_of_trie [] [] (read_trie r))
 
-  val name_to_string : name -> string
+let name_to_string n =
+  let w = Bitio.Writer.create () in
+  write_name w n;
+  Bitio.Writer.contents w
 
-  val name_of_string : string -> (name, error) result
+let name_bits n =
+  let w = Bitio.Writer.create () in
+  write_name w n;
+  Bitio.Writer.bit_length w
 
-  val name_bits : name -> int
+let name_of_string s =
+  match
+    let r = Bitio.Reader.of_string s in
+    read_name r
+  with
+  | n when Name_tree.well_formed n -> Ok n
+  | _ -> Error (Malformed "ill-formed name")
+  | exception Bitio.Truncated -> Error Truncated
+  | exception Failure _ -> Error (Malformed "node with two empty children")
 
-  val stamp_to_string : stamp -> string
+let write_stamp w s =
+  write_name w (Stamp.update_name s);
+  write_name w (Stamp.id s)
 
-  val stamp_of_string : ?validate:bool -> string -> (stamp, error) result
+let read_stamp r =
+  let u = read_name r in
+  let i = read_name r in
+  (u, i)
 
-  val stamp_bits : stamp -> int
+let stamp_to_string s =
+  let w = Bitio.Writer.create () in
+  write_stamp w s;
+  let bytes = Bitio.Writer.contents w in
+  if !Instr.enabled then Instr.note_wire_encode ~bytes:(String.length bytes);
+  bytes
+
+let stamp_bits s =
+  let w = Bitio.Writer.create () in
+  write_stamp w s;
+  Bitio.Writer.bit_length w
+
+let stamp_of_string ?(validate = true) data =
+  match
+    let r = Bitio.Reader.of_string data in
+    read_stamp r
+  with
+  | exception Bitio.Truncated -> Error Truncated
+  | exception Failure _ -> Error (Malformed "node with two empty children")
+  | u, i ->
+      let s = Stamp.make_unchecked ~update:u ~id:i in
+      if (not validate) || Stamp.well_formed s then begin
+        if !Instr.enabled then
+          Instr.note_wire_decode ~bytes:(String.length data);
+        Ok s
+      end
+      else Error (Malformed "update component not dominated by id (I1)")
+
+(* Kept for replbench, which names the stamp codec [Wire.Make (B)]. *)
+module Make (_ : Backend.S) = struct
+  let stamp_to_string = stamp_to_string
+
+  let stamp_of_string = stamp_of_string
 end
-
-module Make (B : Backend.S) = struct
-  type name = B.Name.t
-
-  type stamp = B.Stamp.t
-
-  let write_name w n = write_trie w (trie_of_members (B.Name.to_list n))
-
-  let read_name r = B.Name.of_list (members_of_trie [] [] (read_trie r))
-
-  let name_to_string n =
-    let w = Bitio.Writer.create () in
-    write_name w n;
-    Bitio.Writer.contents w
-
-  let name_bits n =
-    let w = Bitio.Writer.create () in
-    write_name w n;
-    Bitio.Writer.bit_length w
-
-  let name_of_string s =
-    match
-      let r = Bitio.Reader.of_string s in
-      read_name r
-    with
-    | n when B.Name.well_formed n -> Ok n
-    | _ -> Error (Malformed "ill-formed name")
-    | exception Bitio.Truncated -> Error Truncated
-    | exception Failure _ -> Error (Malformed "node with two empty children")
-
-  let write_stamp w s =
-    write_name w (B.Stamp.update_name s);
-    write_name w (B.Stamp.id s)
-
-  let read_stamp r =
-    let u = read_name r in
-    let i = read_name r in
-    (u, i)
-
-  let stamp_to_string s =
-    let w = Bitio.Writer.create () in
-    write_stamp w s;
-    let bytes = Bitio.Writer.contents w in
-    if !Instr.enabled then Instr.note_wire_encode ~bytes:(String.length bytes);
-    bytes
-
-  let stamp_bits s =
-    let w = Bitio.Writer.create () in
-    write_stamp w s;
-    Bitio.Writer.bit_length w
-
-  let stamp_of_string ?(validate = true) data =
-    match
-      let r = Bitio.Reader.of_string data in
-      read_stamp r
-    with
-    | exception Bitio.Truncated -> Error Truncated
-    | exception Failure _ -> Error (Malformed "node with two empty children")
-    | u, i ->
-        let s = B.Stamp.make_unchecked ~update:u ~id:i in
-        if (not validate) || B.Stamp.well_formed s then begin
-          if !Instr.enabled then
-            Instr.note_wire_decode ~bytes:(String.length data);
-          Ok s
-        end
-        else Error (Malformed "update component not dominated by id (I1)")
-end
-
-include Make (Backend.Over_tree)
 
 (* Version vectors on the wire: entry count, then (id, counter) varint
    pairs.  Used by the E7 size comparison. *)

@@ -8,11 +8,9 @@
     varint (id, counter) pairs for the size comparison of experiment
     E7.
 
-    The codec is generic in the name backend: {!Make} builds it for any
-    registered {!Vstamp_core.Backend.S}, and because the trie is derived
-    from the {e antichain} (not the in-memory shape), two backends
-    holding the same name produce byte-identical output.  The top-level
-    functions are {!Make} applied to the default tree backend. *)
+    The trie is derived from the {e antichain}, not from the in-memory
+    shape, so the bytes depend only on the name: the list-backed
+    specification {!Vstamp_core.Name} would encode the same way. *)
 
 type error =
   | Truncated  (** Input ended mid-value. *)
@@ -20,40 +18,35 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Output signature of {!Make}. *)
-module type CODEC = sig
-  type name
+(** {1 Names} *)
 
-  type stamp
+val name_to_string : Vstamp_core.Name_tree.t -> string
 
-  (** {1 Names} *)
+val name_of_string : string -> (Vstamp_core.Name_tree.t, error) result
 
-  val name_to_string : name -> string
+val name_bits : Vstamp_core.Name_tree.t -> int
+(** Exact encoded size in bits (before byte padding). *)
 
-  val name_of_string : string -> (name, error) result
+(** {1 Stamps} *)
 
-  val name_bits : name -> int
-  (** Exact encoded size in bits (before byte padding). *)
+val stamp_to_string : Vstamp_core.Stamp.t -> string
 
-  (** {1 Stamps} *)
+val stamp_of_string :
+  ?validate:bool -> string -> (Vstamp_core.Stamp.t, error) result
+(** [validate] (default [true]) rejects stamps violating invariant I1. *)
 
-  val stamp_to_string : stamp -> string
+val stamp_bits : Vstamp_core.Stamp.t -> int
+(** Exact encoded size in bits (before byte padding): the stamp's wire
+    size, unlike the paper's space metric {!Vstamp_core.Stamp.size_bits}. *)
 
-  val stamp_of_string : ?validate:bool -> string -> (stamp, error) result
-  (** [validate] (default [true]) rejects stamps violating invariant I1. *)
+module Make (_ : Vstamp_core.Backend.S) : sig
+  val stamp_to_string : Vstamp_core.Stamp.t -> string
 
-  val stamp_bits : stamp -> int
+  val stamp_of_string :
+    ?validate:bool -> string -> (Vstamp_core.Stamp.t, error) result
 end
-
-module Make (B : Vstamp_core.Backend.S) :
-  CODEC with type name = B.Name.t and type stamp = B.Stamp.t
-(** The wire codec over any name backend. *)
-
-include
-  CODEC
-    with type name = Vstamp_core.Stamp.name
-     and type stamp = Vstamp_core.Stamp.t
-(** The default-backend codec. *)
+(** The stamp codec under the functor name the replication benchmark
+    ([replbench]) applies; kept for it. *)
 
 (** {1 Version vectors} *)
 

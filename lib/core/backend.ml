@@ -1,84 +1,13 @@
-(* First-class registry of name backends.
-
-   Every layer that used to pin a concrete name module (codec, sim
-   trackers, CLI) goes through this seam instead: a backend bundles a
-   name implementation with the stamp structure built over it, keyed by
-   a stable string.  The three in-tree implementations register
-   themselves at module initialization; third parties add theirs with
-   [register] (typically via [Of_name]). *)
-
 module type S = sig
-  module Name : Name_intf.S
+  module Name : Name_intf.S with type t = Name_tree.t
 
-  module Stamp : Stamp.S with type name = Name.t
-end
-
-type entry = { key : string; doc : string; impl : (module S) }
-
-let registry : (string, entry) Hashtbl.t = Hashtbl.create 8
-
-let register ~key ?(doc = "") impl =
-  if Hashtbl.mem registry key then
-    invalid_arg (Printf.sprintf "Backend.register: key %S already taken" key);
-  Hashtbl.replace registry key { key; doc; impl }
-
-let find key =
-  match Hashtbl.find_opt registry key with
-  | Some e -> Some e.impl
-  | None -> None
-
-let find_entry key = Hashtbl.find_opt registry key
-
-let keys () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) registry []
-  |> List.sort String.compare
-
-let entries () =
-  List.filter_map (fun k -> Hashtbl.find_opt registry k) (keys ())
-
-(* --- the in-tree backends --- *)
-
-(* These reuse the existing [Stamp.Over_*] modules rather than applying
-   [Stamp.Make] afresh, so the registry's stamp types are equal to the
-   ones the rest of the tree already names. *)
-
-module Over_tree = struct
-  module Name = Name_tree
-  module Stamp = Stamp.Over_tree
-end
-
-module Over_list = struct
-  module Name = Name
-  module Stamp = Stamp.Over_list
-end
-
-module Over_packed = struct
-  module Name = Name_packed
-  module Stamp = Stamp.Over_packed
+  module Stamp : Stamp.S with type name = Name_tree.t and type t = Stamp.t
 end
 
 let default_key = "tree"
 
-let () =
-  register ~key:"tree" ~doc:"binary tries (default)" (module Over_tree);
-  register ~key:"list"
-    ~doc:"sorted lists (the executable specification; slow at depth)"
-    (module Over_list);
-  register ~key:"packed"
-    ~doc:"hash-consed tries with memoized leq/join/reduce"
-    (module Over_packed)
-
-let default = (module Over_tree : S)
-
-let get key =
-  match find key with
-  | Some b -> b
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Backend.get: unknown backend %S (valid: %s)" key
-           (String.concat ", " (keys ())))
-
-module Of_name (N : Name_intf.S) = struct
-  module Name = N
-  module Stamp = Stamp.Make (N)
-end
+let default =
+  (module struct
+    module Name = Name_tree
+    module Stamp = Stamp
+  end : S)

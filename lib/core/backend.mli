@@ -1,66 +1,21 @@
-(** First-class registry of name backends.
+(** The production name representation, under the signature the
+    replication benchmark ([replbench]) instantiates its node and codec
+    with.
 
-    A {e backend} bundles one {{!Name_intf.S} name implementation} with
-    the {{!Stamp.S} stamp structure} built over it.  Layers above the
-    core (codec, simulator trackers, KV store, CRDTs, CLI) are functors
-    over this signature or consult the registry at run time, instead of
-    pinning a concrete name module.
-
-    Three backends register themselves when the library is linked:
-
-    - ["tree"] — {!Name_tree}, plain binary tries (the default);
-    - ["list"] — {!Name}, sorted lists (the executable specification);
-    - ["packed"] — {!Name_packed}, hash-consed tries with memoized
-      operations (fastest on deep, shared structure).
-
-    Register additional implementations with {!register}, typically by
-    applying {!Of_name}. *)
+    Names are {!Name_tree} tries and stamps are {!Stamp}; the sorted-list
+    {!Name} survives only as the test oracle.  The signature pins both
+    types, so [Vstamp_net.Node.Make] and [Vstamp_codec.Wire.Make] are
+    aliases of the plain modules and every stamp they handle is a
+    {!Stamp.t}. *)
 
 module type S = sig
-  module Name : Name_intf.S
+  module Name : Name_intf.S with type t = Name_tree.t
 
-  module Stamp : Stamp.S with type name = Name.t
+  module Stamp : Stamp.S with type name = Name_tree.t and type t = Stamp.t
 end
 
-(** {1 Registry} *)
-
-type entry = { key : string; doc : string; impl : (module S) }
-
-val register : key:string -> ?doc:string -> (module S) -> unit
-(** Add a backend under a stable key.
-    @raise Invalid_argument if the key is already taken. *)
-
-val find : string -> (module S) option
-
-val get : string -> (module S)
-(** @raise Invalid_argument on unknown keys, listing the valid set. *)
-
-val find_entry : string -> entry option
-
-val keys : unit -> string list
-(** Registered keys, sorted. *)
-
-val entries : unit -> entry list
-(** Registered entries in key order. *)
-
 val default_key : string
-(** ["tree"]. *)
+(** ["tree"]: the representation key every node advertises in its
+    handshake. *)
 
 val default : (module S)
-
-(** {1 The in-tree backends} *)
-
-module Over_tree : S with module Name = Name_tree and module Stamp = Stamp.Over_tree
-
-module Over_list : S with module Name = Name and module Stamp = Stamp.Over_list
-
-module Over_packed :
-  S with module Name = Name_packed and module Stamp = Stamp.Over_packed
-
-(** {1 Building new backends} *)
-
-module Of_name (N : Name_intf.S) :
-  S with module Name = N and type Stamp.t = Stamp.Make(N).t
-(** Wrap any name implementation into a backend by applying
-    {!Stamp.Make}; pass the result to {!register} to make it reachable
-    from the CLI and smoke tooling. *)

@@ -7,60 +7,51 @@
     conflict, and how to retire obsolete replicas so the Section 6
     reduction can shrink identities. *)
 
-module Make (S : Stamp.S) : sig
-  type elt = S.t
+type elt = Stamp.t
 
-  type t
-  (** A frontier.  Order of elements is preserved but not meaningful. *)
+type t
+(** A frontier.  Order of elements is preserved but not meaningful. *)
 
-  val of_list : S.t list -> t
+val of_list : Stamp.t list -> t
 
-  val to_list : t -> S.t list
+val to_list : t -> Stamp.t list
 
-  val initial : t
-  (** The single seed replica. *)
+val initial : t
+(** The single seed replica. *)
 
-  val size : t -> int
+val size : t -> int
 
-  val nth : t -> int -> S.t
+val nth : t -> int -> Stamp.t
 
-  val classify : t -> S.t -> Relation.t list
-  (** Relations of one member against every other member (physical
-      identity picks the member out). *)
+val classify : t -> Stamp.t -> Relation.t list
+(** Relations of one member against every other member (physical
+    identity picks the member out). *)
 
-  val dominant : t -> S.t list
-  (** Members not strictly dominated by anyone — the maximal antichain
-      of current versions. *)
+val dominant : t -> Stamp.t list
+(** Members not strictly dominated by anyone — the maximal antichain
+    of current versions. *)
 
-  val obsolete : t -> S.t list
-  (** Members some other member strictly dominates: safe to discard. *)
+val obsolete : t -> Stamp.t list
+(** Members some other member strictly dominates: safe to discard. *)
 
-  val conflicts : t -> (S.t * S.t) list
-  (** All mutually inconsistent pairs. *)
+val conflicts : t -> (Stamp.t * Stamp.t) list
+(** All mutually inconsistent pairs. *)
 
-  val consistent : t -> bool
-  (** No conflicts. *)
+val consistent : t -> bool
+(** No conflicts. *)
 
-  val all_equivalent : t -> bool
-  (** Everyone has seen the same updates (e.g. right after a global
-      sync). *)
+val all_equivalent : t -> bool
+(** Everyone has seen the same updates (e.g. right after a global
+    sync). *)
 
-  val total_bits : t -> int
+val total_bits : t -> int
 
-  val prune : t -> t
-  (** Retire every obsolete member by joining it into a dominant one.
-      Knowledge is preserved; identities heal as the frontier narrows. *)
+val prune : t -> t
+(** Retire every obsolete member by joining it into a dominant one.
+    Knowledge is preserved; identities heal as the frontier narrows. *)
 
-  val merge_all : t -> S.t
-  (** Collapse the whole frontier into one replica.
-      @raise Invalid_argument on an empty frontier. *)
+val merge_all : t -> Stamp.t
+(** Collapse the whole frontier into one replica.
+    @raise Invalid_argument on an empty frontier. *)
 
-  val pp : Format.formatter -> t -> unit
-end
-
-module Over_tree : module type of Make (Stamp.Over_tree)
-
-module Over_list : module type of Make (Stamp.Over_list)
-
-include module type of Over_tree
-(** Frontier queries for the default trie-backed stamps. *)
+val pp : Format.formatter -> t -> unit

@@ -1,6 +1,7 @@
 (* The witness type lives outside [Make] so every instantiation shares
    it: a violation only names frontier positions, never stamps, and the
-   runtime monitors report it uniformly for both name representations. *)
+   runtime monitors report it uniformly for the production stamps and
+   the list-backed specification. *)
 type violation = I1 of int | I2 of int * int | I3 of int * int
 
 let pp_violation ppf = function
@@ -87,8 +88,6 @@ module Make (N : Name_intf.S) (S : Stamp.S with type name = N.t) = struct
     i1_violations @ i2_violations @ i3_violations
 end
 
-module Over_tree = Make (Name_tree) (Stamp.Over_tree)
 module Over_list = Make (Name) (Stamp.Over_list)
-module Over_packed = Make (Name_packed) (Stamp.Over_packed)
 
-include Over_tree
+include Make (Name_tree) (Stamp)

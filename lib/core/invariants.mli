@@ -48,11 +48,8 @@ module Make (N : Name_intf.S) (S : Stamp.S with type name = N.t) : sig
   (** All violations, for diagnostics; empty iff {!all} holds. *)
 end
 
-module Over_tree : module type of Make (Name_tree) (Stamp.Over_tree)
-
 module Over_list : module type of Make (Name) (Stamp.Over_list)
+(** Checkers for the list-backed specification stamps. *)
 
-module Over_packed : module type of Make (Name_packed) (Stamp.Over_packed)
-
-include module type of Over_tree
-(** Checkers for the default (trie-backed) stamps. *)
+include module type of Make (Name_tree) (Stamp)
+(** Checkers for the production (trie-backed) stamps. *)

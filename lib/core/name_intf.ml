@@ -9,9 +9,10 @@
     down-sets of strings ordered by inclusion; the antichain holds the
     maximal elements of the down-set it denotes).
 
-    Two implementations satisfy this signature: {!Name} (sorted lists, the
-    executable specification) and {!Name_tree} (binary tries, compact and
-    fast).  {!Stamp.Make} is a functor over it. *)
+    Two implementations satisfy this signature: {!Name_tree} (binary
+    tries), the production representation, and {!Name} (sorted lists),
+    the executable specification the tests hold it to.  {!Stamp.Make} is
+    a functor over it. *)
 
 module type S = sig
   type t
@@ -55,8 +56,10 @@ module type S = sig
   (** Number of strings in the antichain. *)
 
   val total_bits : t -> int
-  (** Sum of the lengths of all member strings — the paper's space metric
-      (each string costs its length in bits on the wire). *)
+  (** Sum of the lengths of all member strings — the paper's space
+      metric.  It is not the encoded size ([bottom] is 0 here but 2 bits
+      encoded); [Vstamp_codec.Wire.name_bits] and [Wire.stamp_bits] give
+      that. *)
 
   val max_depth : t -> int
   (** Length of the longest member string; [0] for [empty] and [bottom]. *)

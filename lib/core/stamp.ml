@@ -201,12 +201,5 @@ end
 module Over_list = Make (Name)
 (** Stamps over the sorted-list name representation (the specification). *)
 
-module Over_tree = Make (Name_tree)
-(** Stamps over the trie name representation (the fast path). *)
-
-module Over_packed = Make (Name_packed)
-(** Stamps over the hash-consed trie representation (the memoized fast
-    path; see {!Name_packed}). *)
-
-include Over_tree
-(** The default stamp implementation is the trie-backed one. *)
+include Make (Name_tree)
+(** The production stamps are trie-backed. *)

@@ -132,8 +132,11 @@ module type S = sig
   (** Arbitrary total order for containers; compatible with {!equal}. *)
 
   val size_bits : t -> int
-  (** Total length of all strings in both components — the wire-size
-      metric used by the experiments. *)
+  (** Total length of all strings in both components — the paper's
+      space metric ({!Name_intf.S.total_bits} of each component).  It
+      is not the encoded size: the seed is 0 bits here but 4 on the
+      wire, and a depth-8 stamp 384 B here but 192 B on the wire; see
+      [Vstamp_codec.Wire.stamp_bits] for that. *)
 
   val id_width : t -> int
   (** Number of strings in the id component. *)
@@ -158,14 +161,8 @@ module Make (N : Name_intf.S) : S with type name = N.t
 (** Build the stamp structure over any name representation. *)
 
 module Over_list : S with type name = Name.t
-(** Stamps over {!Name} (sorted lists) — the executable specification. *)
+(** Stamps over {!Name} (sorted lists) — the executable specification
+    the production stamps are tested against. *)
 
-module Over_tree : S with type name = Name_tree.t
-(** Stamps over {!Name_tree} (binary tries) — the fast path. *)
-
-module Over_packed : S with type name = Name_packed.t
-(** Stamps over {!Name_packed} (hash-consed tries with memoized
-    operations) — the packed backend. *)
-
-include S with type name = Name_tree.t and type t = Over_tree.t
-(** The default implementation is {!Over_tree}. *)
+include S with type name = Name_tree.t
+(** The production stamps, over {!Name_tree} (binary tries). *)

@@ -11,96 +11,91 @@
     two replicas share no causal context, so their first sync reports a
     conflict even for equal values; and {!remove} is a local forget with
     no tombstone — a peer that still holds the key re-introduces it on
-    the next sync.
+    the next sync. *)
 
-    Generic in the stamp backend via {!Make}; the top level is the
-    default (tree) instantiation. *)
+type t
+(** One replica of the store.  Immutable. *)
 
-module Make (S : Vstamp_core.Stamp.S) : sig
-  type t
-  (** One replica of the store.  Immutable. *)
+val empty : t
 
-  val empty : t
+val keys : t -> string list
+(** Sorted. *)
 
-  val keys : t -> string list
-  (** Sorted. *)
+val mem : t -> string -> bool
 
-  val mem : t -> string -> bool
+val get : t -> string -> string list
+(** Current candidate values: [[]] for unknown keys, a singleton when
+    there is no unresolved conflict. *)
 
-  val get : t -> string -> string list
-  (** Current candidate values: [[]] for unknown keys, a singleton when
-      there is no unresolved conflict. *)
+val stamp : t -> string -> Vstamp_core.Stamp.t option
+(** The version stamp tracking one key, if present. *)
 
-  val stamp : t -> string -> S.t option
-  (** The version stamp tracking one key, if present. *)
+val put : t -> key:string -> string -> t
+(** Local write; first write of a key seeds a fresh register. *)
 
-  val put : t -> key:string -> string -> t
-  (** Local write; first write of a key seeds a fresh register. *)
+val remove : t -> string -> t
+(** Local forget (no tombstone; see the module preamble). *)
 
-  val remove : t -> string -> t
-  (** Local forget (no tombstone; see the module preamble). *)
+val resolve : t -> key:string -> value:string -> t
+(** Settle a conflict: the chosen value becomes a new write. *)
 
-  val resolve : t -> key:string -> value:string -> t
-  (** Settle a conflict: the chosen value becomes a new write. *)
+val conflict : t -> string -> bool
+(** Multiple concurrent candidates currently stored for the key. *)
 
-  val conflict : t -> string -> bool
-  (** Multiple concurrent candidates currently stored for the key. *)
+val sync : t -> t -> t * t
+(** Pairwise anti-entropy over the union of the two replicas' keys;
+  keys held by one side only are replicated to the other (both
+  continuing the same forked lineage).  Runs on the shared
+  {!Vstamp_sync.Engine} session (frontier offer → delta request →
+  reconcile), composed in-process. *)
 
-  val sync : t -> t -> t * t
-  (** Pairwise anti-entropy over the union of the two replicas' keys;
-    keys held by one side only are replicated to the other (both
-    continuing the same forked lineage).  Runs on the shared
-    {!Vstamp_sync.Engine} session (frontier offer → delta request →
-    reconcile), composed in-process. *)
+(** {2 Wire-level session legs}
 
-  (** {2 Wire-level session legs}
+    The same session split for a transport: each leg exchanges plain
+    serializable data, so a framed protocol ({!Vstamp_net}) can ship
+    the legs between processes and still produce stores
+    byte-identical to an in-process {!sync}.  The legs do {e not}
+    charge the attached [kvs_sync_*] ledger — a networked round
+    accounts to the [tally] it passes to {!reconcile}. *)
 
-      The same session split for a transport: each leg exchanges plain
-      serializable data, so a framed protocol ({!Vstamp_net}) can ship
-      the legs between processes and still produce stores
-      byte-identical to an in-process {!sync}.  The legs do {e not}
-      charge the attached [kvs_sync_*] ledger — a networked round
-      accounts to the [tally] it passes to {!reconcile}. *)
+type frontier = (string * Vstamp_core.Stamp.t * string) list
+(** One entry per key: its stamp and a digest fingerprinting the
+    candidate value set. *)
 
-  type frontier = (string * S.t * string) list
-  (** One entry per key: its stamp and a digest fingerprinting the
-      candidate value set. *)
+type delta = (string * Vstamp_core.Stamp.t * string list) list
+(** Full entries on the move: key, stamp, candidate values. *)
 
-  type delta = (string * S.t * string list) list
-  (** Full entries on the move: key, stamp, candidate values. *)
+val offer : t -> frontier
+(** Leg 1 (initiator): the replica's full frontier, sorted by key. *)
 
-  val offer : t -> frontier
-  (** Leg 1 (initiator): the replica's full frontier, sorted by key. *)
+val wants : t -> frontier -> string list
+(** Leg 2 (responder): the keys whose full entries are needed — ones
+    this replica lacks, is dominated on, or holds concurrent/equal
+    with a different candidate set. *)
 
-  val wants : t -> frontier -> string list
-  (** Leg 2 (responder): the keys whose full entries are needed — ones
-      this replica lacks, is dominated on, or holds concurrent/equal
-      with a different candidate set. *)
+val fulfil : t -> string list -> delta
+(** Leg 3 (initiator): the requested entries. *)
 
-  val fulfil : t -> string list -> delta
-  (** Leg 3 (initiator): the requested entries. *)
+val reconcile :
+  ?tally:Vstamp_sync.Ledger.t -> t -> frontier -> delta -> t * delta
+(** Leg 4 (responder): reconcile the received entries against the
+    offered frontier; returns the updated replica and the
+    initiator's halves to ship back. *)
 
-  val reconcile :
-    ?tally:Vstamp_sync.Ledger.t -> t -> frontier -> delta -> t * delta
-  (** Leg 4 (responder): reconcile the received entries against the
-      offered frontier; returns the updated replica and the
-      initiator's halves to ship back. *)
+val apply : t -> delta -> t
+(** Final leg (initiator): adopt the responder's results. *)
 
-  val apply : t -> delta -> t
-  (** Final leg (initiator): adopt the responder's results. *)
+val converged : t -> t -> bool
+(** Same keys, same candidate value sets. *)
 
-  val converged : t -> t -> bool
-  (** Same keys, same candidate value sets. *)
+val size_bits : t -> int
+(** Total causality metadata across all keys. *)
 
-  val size_bits : t -> int
-  (** Total causality metadata across all keys. *)
-
-  val pp : Format.formatter -> t -> unit
-end
+val pp : Format.formatter -> t -> unit
 
 (** {1 Live instrumentation}
 
-    Off by default.  When attached, every {!Make.sync} bumps
+    Off by default.  When attached, every {!sync} bumps
     [kvs_sync_rounds_total] and charges the anti-entropy walk to the
     delta ledger: [kvs_sync_shipped_bytes_total] (both replicas' stamp
     metadata per shared key plus the candidate values that change
@@ -108,8 +103,7 @@ end
     minimum: nothing for equivalent keys, the dominant side only for
     ordered ones), [kvs_sync_redundant_bytes_total] (their difference)
     and the [kvs_sync_delta_efficiency] gauge (running
-    [minimal / shipped]).  Counters are shared by every instantiation
-    of {!Make}. *)
+    [minimal / shipped]). *)
 module Obs : sig
   val attach : ?registry:Vstamp_obs.Registry.t -> unit -> unit
   (** Start counting into [registry] (default
@@ -120,12 +114,3 @@ module Obs : sig
 
   val attached : unit -> bool
 end
-
-module Over_tree : module type of Make (Vstamp_core.Stamp.Over_tree)
-
-module Over_list : module type of Make (Vstamp_core.Stamp.Over_list)
-
-module Over_packed : module type of Make (Vstamp_core.Stamp.Over_packed)
-
-include module type of Over_tree
-(** The default (tree-backed) instantiation. *)

@@ -21,63 +21,93 @@ val initial_backoff_s : float
 val max_backoff_s : float
 (** Reconnect delay cap: [5.0]s. *)
 
-module Make (B : Vstamp_core.Backend.S) : sig
-  module KV : module type of Vstamp_kvs.Stamped_kv.Make (B.Stamp)
+type t
 
-  type t
+val create :
+  ?registry:Vstamp_obs.Registry.t ->
+  ?interval_s:float ->
+  ?idle_timeout_s:float ->
+  ?addr:string ->
+  ?backend:string ->
+  node_id:string ->
+  port:int ->
+  peers:(string * int) list ->
+  unit ->
+  t
+(** Bind and listen on [addr:port] ([port = 0] picks an ephemeral
+    port — see {!port}) and start the accept thread.  [interval_s]
+    (default 1s) spaces the periodic rounds of {!start_dialers};
+    [idle_timeout_s] (default 60s) bounds how long a blocked read may
+    pin a connection thread.  [backend] is accepted for the
+    replication benchmark's call and ignored: the handshake always
+    advertises {!Vstamp_core.Backend.default_key} (["tree"]).
+    @raise Unix.Unix_error when the bind fails. *)
+
+val start_dialers : t -> unit
+(** Launch one periodic anti-entropy thread per configured peer
+    (connect → handshake → a round every [interval_s]; on failure,
+    reconnect with exponential backoff).  Separate from {!create} so
+    a node can instead be driven deterministically by {!sync_now}. *)
+
+val sync_now : t -> int
+(** One synchronous anti-entropy round against every configured peer
+    over a dedicated connection; returns how many peers completed the
+    round.  Usable with or without {!start_dialers}. *)
+
+val port : t -> int
+(** The port actually bound (resolves [port = 0]). *)
+
+val put : t -> key:string -> string -> unit
+(** Local write into the node's store (thread-safe). *)
+
+val get : t -> string -> string list
+
+val keys : t -> string list
+
+val digest : t -> int
+(** Fingerprint of the observable store content (keys and sorted
+    candidate sets, stamps excluded): replicas that have converged
+    report equal digests.  Exported as the [net_store_digest] gauge. *)
+
+val peers_json : t -> Vstamp_obs.Jsonx.t
+(** The [/peers.json] snapshot: node identity, bound port, store
+    summary, and per-peer [state]/[attempts]/[rounds]/[backoff_s]/
+    [last_error]. *)
+
+val stop : t -> unit
+(** Stop accepting, join the accept/dial/connection threads, close
+    the listening socket.  Idempotent. *)
+
+(** The node under the functor name the replication benchmark
+    ([replbench]) applies; kept for it. *)
+module Make (_ : Vstamp_core.Backend.S) : sig
+  module KV = Vstamp_kvs.Stamped_kv
+
+  type nonrec t = t
 
   val create :
     ?registry:Vstamp_obs.Registry.t ->
     ?interval_s:float ->
     ?idle_timeout_s:float ->
     ?addr:string ->
+    ?backend:string ->
     node_id:string ->
-    backend:string ->
     port:int ->
     peers:(string * int) list ->
     unit ->
     t
-  (** Bind and listen on [addr:port] ([port = 0] picks an ephemeral
-      port — see {!port}) and start the accept thread.  [interval_s]
-      (default 1s) spaces the periodic rounds of {!start_dialers};
-      [idle_timeout_s] (default 60s) bounds how long a blocked read may
-      pin a connection thread.  [backend] is the stamp-backend key
-      advertised in the handshake (informational: the wire encoding is
-      canonical across backends).
-      @raise Unix.Unix_error when the bind fails. *)
-
-  val start_dialers : t -> unit
-  (** Launch one periodic anti-entropy thread per configured peer
-      (connect → handshake → a round every [interval_s]; on failure,
-      reconnect with exponential backoff).  Separate from {!create} so
-      a node can instead be driven deterministically by {!sync_now}. *)
 
   val sync_now : t -> int
-  (** One synchronous anti-entropy round against every configured peer
-      over a dedicated connection; returns how many peers completed the
-      round.  Usable with or without {!start_dialers}. *)
 
   val port : t -> int
-  (** The port actually bound (resolves [port = 0]). *)
 
   val put : t -> key:string -> string -> unit
-  (** Local write into the node's store (thread-safe). *)
 
   val get : t -> string -> string list
 
   val keys : t -> string list
 
   val digest : t -> int
-  (** Fingerprint of the observable store content (keys and sorted
-      candidate sets, stamps excluded): replicas that have converged
-      report equal digests.  Exported as the [net_store_digest] gauge. *)
-
-  val peers_json : t -> Vstamp_obs.Jsonx.t
-  (** The [/peers.json] snapshot: node identity, bound port, store
-      summary, and per-peer [state]/[attempts]/[rounds]/[backoff_s]/
-      [last_error]. *)
 
   val stop : t -> unit
-  (** Stop accepting, join the accept/dial/connection threads, close
-      the listening socket.  Idempotent. *)
 end

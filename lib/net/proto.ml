@@ -2,8 +2,7 @@
 
    One frame = one message = a tag byte followed by varint-length-
    prefixed fields.  Stamps travel as opaque strings (the canonical
-   {!Vstamp_codec.Wire} encoding, byte-identical across name backends),
-   so this layer is backend-agnostic: the node layer owns stamp
+   {!Vstamp_codec.Wire} encoding): the node layer owns stamp
    (de)serialization and this one owns structure.
 
    Decoding is total: any input — truncated, oversized counts,

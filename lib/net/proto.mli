@@ -1,8 +1,8 @@
 (** The [vstamp-sync/1] message layer (one message per frame).
 
     A tag byte, then varint-length-prefixed fields.  Stamps travel as
-    opaque strings (the canonical {!Vstamp_codec.Wire} encoding, byte-
-    identical across name backends), so the layer is backend-agnostic.
+    opaque strings (the canonical {!Vstamp_codec.Wire} encoding), so the
+    layer never looks inside them.
     {!decode} is total: truncated fields, absurd counts or bit-flipped
     tags return [Error], never raise.  See [doc/protocol.md] for the
     frame grammar and session state machine. *)
@@ -14,6 +14,9 @@ val magic : string
 (** ["vstamp-sync/1"], carried in every handshake frame. *)
 
 type hello = { node_id : string; backend : string; proto : int }
+(** [backend] names the peer's name representation.  Nodes always send
+    ["tree"] ({!Vstamp_core.Backend.default_key}) and never check it;
+    the field stays for wire compatibility. *)
 
 type msg =
   | Hello of hello  (** Initiator's opening frame. *)

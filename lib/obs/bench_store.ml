@@ -307,6 +307,13 @@ let compare_runs ?(ignore_config = false) ~baseline current =
                    })
            (metrics baseline))
 
+let missing_metrics ~baseline current =
+  let cur = Hashtbl.create 64 in
+  List.iter (fun (name, _, _) -> Hashtbl.replace cur name ()) (metrics current);
+  List.filter_map
+    (fun (metric, _, _) -> if Hashtbl.mem cur metric then None else Some metric)
+    (metrics baseline)
+
 let regressions ~tolerance deltas =
   List.filter (fun d -> d.worse_pct > tolerance) deltas
 

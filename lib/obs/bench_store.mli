@@ -81,7 +81,12 @@ val compare_runs :
 (** [compare_runs ~baseline current]: deltas over the metrics present
     in both runs, sorted by metric path.  Errors on a config mismatch
     unless [ignore_config] (default [false]); [`Unknown] compatibility
-    is allowed. *)
+    is allowed.  Baseline metrics the current run lacks are not deltas;
+    {!missing_metrics} lists them. *)
+
+val missing_metrics : baseline:run -> run -> string list
+(** Baseline metric paths absent from the current run, sorted: lanes
+    that vanished (or timed out) since the baseline was recorded. *)
 
 val regressions : tolerance:float -> delta list -> delta list
 (** Deltas with [worse_pct > tolerance] (tolerance in percent). *)

@@ -14,7 +14,7 @@
     JSON export.
 
     Like the rest of [vstamp.obs] the module is core-free: fragments
-    arrive as plain [string list]s of binary paths, so any backend (or
+    arrive as plain [string list]s of binary paths, so any stamp source (or
     a test generator) can feed it. *)
 
 type fragment = string list

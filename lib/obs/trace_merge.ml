@@ -79,10 +79,9 @@ let scope_groups arr =
     arr;
   scopes
 
-(* The label-pair memo is bounded with the same reset-on-full
-   discipline as [Name_packed]'s memo tables: a week-long cluster
-   merge with many distinct labels degrades to recomputation instead
-   of growing memory without limit. *)
+(* The label-pair memo is bounded and reset when full: a week-long
+   cluster merge with many distinct labels degrades to recomputation
+   instead of growing memory without limit. *)
 let default_memo_limit = 1 lsl 16
 
 let memo_limit_ref = ref default_memo_limit

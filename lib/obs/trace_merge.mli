@@ -50,8 +50,8 @@ val report_schema : string
 
     {!merge} and {!validate} memoize the strict-order answer per
     distinct label pair.  The memo is bounded: when it reaches the
-    limit it is reset (the [Name_packed] discipline), trading
-    recomputation for a hard memory ceiling on week-long merges. *)
+    limit it is reset, trading recomputation for a hard memory ceiling
+    on week-long merges. *)
 
 val default_memo_limit : int
 (** [65536] label pairs. *)

@@ -3,67 +3,40 @@
     A store models a laptop, phone or server holding copies of replicated
     files.  Stores never talk to a central service: files appear by local
     creation ({!add_new}) or by receiving a replica during a
-    {!Sync.session}.
+    {!Sync.session}. *)
 
-    Generic in the file-copy implementation (and hence the stamp
-    backend) via {!Make}; the top level is the default (tree)
-    instantiation, whose [file] type is {!File_copy.t}. *)
+type file = File_copy.t
 
-module Make (F : sig
-  type t
+type t
 
-  val create : path:string -> content:string -> t
+val create : name:string -> t
 
-  val edit : t -> content:string -> t
+val name : t -> string
 
-  val path : t -> string
+val paths : t -> string list
+(** Sorted logical paths present in this store. *)
 
-  val size_bits : t -> int
+val find : t -> string -> file option
 
-  val pp : Format.formatter -> t -> unit
-end) : sig
-  type file = F.t
+val file_count : t -> int
 
-  type t
+val mem : t -> string -> bool
 
-  val create : name:string -> t
+val add_new : t -> path:string -> content:string -> t
+(** Create a brand-new logical file on this device.
+    @raise Invalid_argument if the path already exists here. *)
 
-  val name : t -> string
+val edit : t -> path:string -> content:string -> t
+(** @raise Invalid_argument if the path is absent. *)
 
-  val paths : t -> string list
-  (** Sorted logical paths present in this store. *)
+val remove : t -> path:string -> t
 
-  val find : t -> string -> file option
+val set : t -> file -> t
+(** Insert or replace the copy at its own path. *)
 
-  val file_count : t -> int
+val fold : (file -> 'a -> 'a) -> t -> 'a -> 'a
 
-  val mem : t -> string -> bool
+val total_tracking_bits : t -> int
+(** Total stamp overhead across the store. *)
 
-  val add_new : t -> path:string -> content:string -> t
-  (** Create a brand-new logical file on this device.
-      @raise Invalid_argument if the path already exists here. *)
-
-  val edit : t -> path:string -> content:string -> t
-  (** @raise Invalid_argument if the path is absent. *)
-
-  val remove : t -> path:string -> t
-
-  val set : t -> file -> t
-  (** Insert or replace the copy at its own path. *)
-
-  val fold : (file -> 'a -> 'a) -> t -> 'a -> 'a
-
-  val total_tracking_bits : t -> int
-  (** Total stamp overhead across the store. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
-module Over_tree : module type of Make (File_copy.Over_tree)
-
-module Over_list : module type of Make (File_copy.Over_list)
-
-module Over_packed : module type of Make (File_copy.Over_packed)
-
-include module type of Over_tree with type t = Over_tree.t
-(** The default (tree-backed) instantiation. *)
+val pp : Format.formatter -> t -> unit

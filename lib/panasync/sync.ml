@@ -1,12 +1,12 @@
 open Vstamp_core
 module Engine = Vstamp_sync.Engine
 module Ledger = Vstamp_sync.Ledger
+module F = File_copy
 
 (* Optional live instrumentation, off by default (mirrors
    Kv_node.Obs): when attached, every session, reconciled file and
    propagated byte counts into a registry for the embedded telemetry
-   server to expose.  The counters are shared by every instantiation of
-   {!Make}, whichever backend it runs over.  The delta ledger (shipped /
+   server to expose.  The delta ledger (shipped /
    minimal / redundant / efficiency) is the shared {!Vstamp_sync.Ledger}
    family under the [sync_] prefix. *)
 module Obs = struct
@@ -110,263 +110,220 @@ let to_engine_outcome = function
   | Resolved -> Engine.Resolved
   | Conflict -> Engine.Conflict
 
-module Make (F : sig
-  type t
+(* Content bytes a reconciliation moved between the devices: the
+   propagated or resolved payload; nothing for equivalent copies or a
+   conflict left standing. *)
+let moved_bytes outcome l r =
+  match outcome with
+  | Propagated_left_to_right -> String.length (F.content l)
+  | Propagated_right_to_left -> String.length (F.content r)
+  | Resolved -> String.length (F.content l)
+  | Created | Unchanged | Conflict -> 0
 
-  val path : t -> string
+let meta_bytes c = (F.size_bits c + 7) / 8
 
-  val content : t -> string
-
-  val size_bits : t -> int
-
-  val relation : t -> t -> Relation.t
-
-  val resolve : t -> t -> content:string -> t * t
-
-  val propagate : from:t -> into:t -> t * t
-
-  val replicate : t -> t * t
-
-  type meta
-
-  val meta : t -> meta
-
-  val meta_relation : meta -> meta -> Relation.t
-
-  val meta_bits : meta -> int
-
-  val of_meta : path:string -> meta -> t
-end) (St : sig
-  type t
-
-  val paths : t -> string list
-
-  val find : t -> string -> F.t option
-
-  val set : t -> F.t -> t
-end) =
-struct
-  (* Content bytes a reconciliation moved between the devices: the
-     propagated or resolved payload; nothing for equivalent copies or a
-     conflict left standing. *)
-  let moved_bytes outcome l r =
-    match outcome with
-    | Propagated_left_to_right -> String.length (F.content l)
-    | Propagated_right_to_left -> String.length (F.content r)
-    | Resolved -> String.length (F.content l)
-    | Created | Unchanged | Conflict -> 0
-
-  let meta_bytes c = (F.size_bits c + 7) / 8
-
-  let sync_file_raw policy left right =
-    match F.relation left right with
-    | Relation.Equal
-      when not (String.equal (F.content left) (F.content right)) -> (
-        (* Equivalent stamps with different content can only mean the two
-           copies were created independently (separate seed lineages share
-           no causal context), so this is a genuine conflict even though
-           the stamps cannot see it. *)
-        let resolve content =
-          let l, r = F.resolve left right ~content in
-          (l, r, { path = F.path left; relation = Some Equal; outcome = Resolved })
-        in
-        match policy with
-        | Manual ->
-            ( left,
-              right,
-              { path = F.path left; relation = Some Equal; outcome = Conflict }
-            )
-        | Prefer_left -> resolve (F.content left)
-        | Prefer_right -> resolve (F.content right)
-        | Merge f ->
-            resolve (f ~left:(F.content left) ~right:(F.content right)))
-    | Relation.Equal ->
-        ( left,
-          right,
-          { path = F.path left; relation = Some Equal; outcome = Unchanged } )
-    | Relation.Dominates ->
-        let l, r = F.propagate ~from:left ~into:right in
+let sync_file_raw policy left right =
+  match F.relation left right with
+  | Relation.Equal
+    when not (String.equal (F.content left) (F.content right)) -> (
+      (* Equivalent stamps with different content can only mean the two
+         copies were created independently (separate seed lineages share
+         no causal context), so this is a genuine conflict even though
+         the stamps cannot see it. *)
+      let resolve content =
+        let l, r = F.resolve left right ~content in
+        (l, r, { path = F.path left; relation = Some Equal; outcome = Resolved })
+      in
+      match policy with
+      | Manual ->
+          ( left,
+            right,
+            { path = F.path left; relation = Some Equal; outcome = Conflict }
+          )
+      | Prefer_left -> resolve (F.content left)
+      | Prefer_right -> resolve (F.content right)
+      | Merge f ->
+          resolve (f ~left:(F.content left) ~right:(F.content right)))
+  | Relation.Equal ->
+      ( left,
+        right,
+        { path = F.path left; relation = Some Equal; outcome = Unchanged } )
+  | Relation.Dominates ->
+      let l, r = F.propagate ~from:left ~into:right in
+      ( l,
+        r,
+        {
+          path = F.path left;
+          relation = Some Dominates;
+          outcome = Propagated_left_to_right;
+        } )
+  | Relation.Dominated ->
+      let r, l = F.propagate ~from:right ~into:left in
+      ( l,
+        r,
+        {
+          path = F.path left;
+          relation = Some Dominated;
+          outcome = Propagated_right_to_left;
+        } )
+  | Relation.Concurrent
+    when String.equal (F.content left) (F.content right) ->
+      (* concurrent histories (possibly unrelated lineages) but identical
+         contents: observationally nothing to reconcile *)
+      ( left,
+        right,
+        {
+          path = F.path left;
+          relation = Some Concurrent;
+          outcome = Unchanged;
+        } )
+  | Relation.Concurrent -> (
+      let resolve content =
+        let l, r = F.resolve left right ~content in
         ( l,
           r,
-          {
-            path = F.path left;
-            relation = Some Dominates;
-            outcome = Propagated_left_to_right;
-          } )
-    | Relation.Dominated ->
-        let r, l = F.propagate ~from:right ~into:left in
-        ( l,
-          r,
-          {
-            path = F.path left;
-            relation = Some Dominated;
-            outcome = Propagated_right_to_left;
-          } )
-    | Relation.Concurrent
-      when String.equal (F.content left) (F.content right) ->
-        (* concurrent histories (possibly unrelated lineages) but identical
-           contents: observationally nothing to reconcile *)
-        ( left,
-          right,
           {
             path = F.path left;
             relation = Some Concurrent;
-            outcome = Unchanged;
+            outcome = Resolved;
           } )
-    | Relation.Concurrent -> (
-        let resolve content =
-          let l, r = F.resolve left right ~content in
-          ( l,
-            r,
+      in
+      match policy with
+      | Manual ->
+          ( left,
+            right,
             {
               path = F.path left;
               relation = Some Concurrent;
-              outcome = Resolved;
+              outcome = Conflict;
             } )
-        in
-        match policy with
-        | Manual ->
-            ( left,
-              right,
-              {
-                path = F.path left;
-                relation = Some Concurrent;
-                outcome = Conflict;
-              } )
-        | Prefer_left -> resolve (F.content left)
-        | Prefer_right -> resolve (F.content right)
-        | Merge f ->
-            resolve (f ~left:(F.content left) ~right:(F.content right)))
+      | Prefer_left -> resolve (F.content left)
+      | Prefer_right -> resolve (F.content right)
+      | Merge f ->
+          resolve (f ~left:(F.content left) ~right:(F.content right)))
 
-  (* Wire accounting for one reconciled pair, charged on the
-     post-reconciliation copies (what actually crossed, with the stamps
-     the session left behind).  The split is the engine's unified
-     formula: shipped = both metadatas + moved payload; minimal = what a
-     frontier-exchange protocol needs. *)
-  let charge_of outcome l r =
-    {
-      Engine.meta_a = meta_bytes l;
-      meta_b = meta_bytes r;
-      payload = moved_bytes outcome l r;
-    }
+(* Wire accounting for one reconciled pair, charged on the
+   post-reconciliation copies (what actually crossed, with the stamps
+   the session left behind).  The split is the engine's unified
+   formula: shipped = both metadatas + moved payload; minimal = what a
+   frontier-exchange protocol needs. *)
+let charge_of outcome l r =
+  {
+    Engine.meta_a = meta_bytes l;
+    meta_b = meta_bytes r;
+    payload = moved_bytes outcome l r;
+  }
 
-  let observe_report outcome l r =
-    Obs.on (fun c ->
-        Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug outcome));
-        (match moved_bytes outcome l r with
-        | 0 -> ()
-        | n -> Vstamp_obs.Metric.add c.Obs.bytes n);
-        let shipped, minimal =
-          Engine.delta (to_engine_outcome outcome) (charge_of outcome l r)
-        in
-        Ledger.account c.Obs.ledger ~shipped ~minimal;
-        if outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
+let observe_report outcome l r =
+  Obs.on (fun c ->
+      Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug outcome));
+      (match moved_bytes outcome l r with
+      | 0 -> ()
+      | n -> Vstamp_obs.Metric.add c.Obs.bytes n);
+      let shipped, minimal =
+        Engine.delta (to_engine_outcome outcome) (charge_of outcome l r)
+      in
+      Ledger.account c.Obs.ledger ~shipped ~minimal;
+      if outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
 
-  let sync_file policy left right =
-    let l, r, report = sync_file_raw policy left right in
-    observe_report report.outcome l r;
-    (l, r, report)
+let sync_file policy left right =
+  let l, r, report = sync_file_raw policy left right in
+  observe_report report.outcome l r;
+  (l, r, report)
 
-  (* The engine store adapter: a panasync store keyed by path, with the
-     copies' frontier view (stamp + lineage, no payload) as metadata and
-     an MD5 content digest standing in for the old direct content
-     comparison of observationally-equal copies. *)
-  module ES = struct
-    type t = St.t
+(* The engine store adapter: a panasync store keyed by path, with the
+   copies' frontier view (stamp + lineage, no payload) as metadata and
+   an MD5 content digest standing in for the old direct content
+   comparison of observationally-equal copies. *)
+module ES = struct
+  type t = Store.t
 
-    type item = F.t
+  type item = F.t
 
-    type meta = F.meta
+  type meta = F.meta
 
-    let keys = St.paths
+  let keys = Store.paths
 
-    let find = St.find
+  let find = Store.find
 
-    let set store _key item = St.set store item
+  let set store _key item = Store.set store item
 
-    let meta_of = F.meta
+  let meta_of = F.meta
 
-    let relation = F.meta_relation
+  let relation = F.meta_relation
 
-    let meta_bytes m = (F.meta_bits m + 7) / 8
+  let meta_bytes m = (F.meta_bits m + 7) / 8
 
-    let payload_bytes item = String.length (F.content item)
+  let payload_bytes item = String.length (F.content item)
 
-    let digest item = Digest.string (F.content item)
+  let digest item = Digest.string (F.content item)
 
-    let of_meta ~key m = F.of_meta ~path:key m
-  end
-
-  module E = Engine.Make (ES)
-
-  (* The per-path reconciliation the engine drives: [item_a] is the
-     initiator's copy (a payload-less phantom when this side dominates
-     it — propagation never reads the dominated content), [item_b] this
-     side's. *)
-  let engine_config policy =
-    {
-      E.reconcile =
-        (fun ~key:_ item_a item_b ->
-          let l, r, report = sync_file_raw policy item_a item_b in
-          let relation =
-            match report.relation with Some rel -> rel | None -> assert false
-          in
-          {
-            E.item_a = l;
-            item_b = r;
-            relation;
-            outcome = to_engine_outcome report.outcome;
-            charge = charge_of report.outcome l r;
-          });
-      replicate = F.replicate;
-    }
-
-  let spans =
-    { E.span_session = "sync.session"; span_apply = "sync.apply"; unit_key = "files" }
-
-  let session ?(policy = Manual) left right =
-    let config = engine_config policy in
-    let ledger = Option.map (fun c -> c.Obs.ledger) !Obs.state in
-    let on_report (er : E.report) =
-      Obs.on (fun c ->
-          let outcome = of_engine_outcome er.E.outcome in
-          Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug outcome));
-          (match er.E.payload with
-          | 0 -> ()
-          | n -> Vstamp_obs.Metric.add c.Obs.bytes n);
-          if outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
-    in
-    let left, right, ereports =
-      E.session ?ledger ~on_report ~spans config left right
-    in
-    let reports =
-      List.map
-        (fun (er : E.report) ->
-          {
-            path = er.E.key;
-            relation = er.E.relation;
-            outcome = of_engine_outcome er.E.outcome;
-          })
-        ereports
-    in
-    (left, right, reports)
-
-  (* Observational convergence: both stores hold every path with equal
-     content.  (Stamp equivalence is deliberately not required: copies of
-     colliding-but-independent lineages stay formally concurrent while
-     being indistinguishable to any reader, and a session on them is a
-     no-op.) *)
-  let converged left right =
-    List.for_all
-      (fun path ->
-        match (St.find left path, St.find right path) with
-        | Some a, Some b -> String.equal (F.content a) (F.content b)
-        | _ -> false)
-      (List.sort_uniq compare (St.paths left @ St.paths right))
+  let of_meta ~key m = F.of_meta ~path:key m
 end
 
-module Over_tree = Make (File_copy.Over_tree) (Store.Over_tree)
-module Over_list = Make (File_copy.Over_list) (Store.Over_list)
-module Over_packed = Make (File_copy.Over_packed) (Store.Over_packed)
+module E = Engine.Make (ES)
 
-include Over_tree
+(* The per-path reconciliation the engine drives: [item_a] is the
+   initiator's copy (a payload-less phantom when this side dominates
+   it — propagation never reads the dominated content), [item_b] this
+   side's. *)
+let engine_config policy =
+  {
+    E.reconcile =
+      (fun ~key:_ item_a item_b ->
+        let l, r, report = sync_file_raw policy item_a item_b in
+        let relation =
+          match report.relation with Some rel -> rel | None -> assert false
+        in
+        {
+          E.item_a = l;
+          item_b = r;
+          relation;
+          outcome = to_engine_outcome report.outcome;
+          charge = charge_of report.outcome l r;
+        });
+    replicate = F.replicate;
+  }
+
+let spans =
+  { E.span_session = "sync.session"; span_apply = "sync.apply"; unit_key = "files" }
+
+let session ?(policy = Manual) left right =
+  let config = engine_config policy in
+  let ledger = Option.map (fun c -> c.Obs.ledger) !Obs.state in
+  let on_report (er : E.report) =
+    Obs.on (fun c ->
+        let outcome = of_engine_outcome er.E.outcome in
+        Vstamp_obs.Metric.inc (c.Obs.files (outcome_slug outcome));
+        (match er.E.payload with
+        | 0 -> ()
+        | n -> Vstamp_obs.Metric.add c.Obs.bytes n);
+        if outcome = Conflict then Vstamp_obs.Metric.inc c.Obs.conflicts)
+  in
+  let left, right, ereports =
+    E.session ?ledger ~on_report ~spans config left right
+  in
+  let reports =
+    List.map
+      (fun (er : E.report) ->
+        {
+          path = er.E.key;
+          relation = er.E.relation;
+          outcome = of_engine_outcome er.E.outcome;
+        })
+      ereports
+  in
+  (left, right, reports)
+
+(* Observational convergence: both stores hold every path with equal
+   content.  (Stamp equivalence is deliberately not required: copies of
+   colliding-but-independent lineages stay formally concurrent while
+   being indistinguishable to any reader, and a session on them is a
+   no-op.) *)
+let converged left right =
+  List.for_all
+    (fun path ->
+      match (Store.find left path, Store.find right path) with
+      | Some a, Some b -> String.equal (F.content a) (F.content b)
+      | _ -> false)
+    (List.sort_uniq compare (Store.paths left @ Store.paths right))

@@ -94,6 +94,6 @@ val run :
   ?on_round:(round_obs -> unit) ->
   config ->
   result
-(** Run the scenario over the default stamp backend.
+(** Run the scenario over the production stamps.
     @raise Invalid_argument on a malformed config ([replicas < 1],
     [min_replicas < 1], [max_replicas < replicas], negative rates). *)

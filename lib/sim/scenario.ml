@@ -83,7 +83,7 @@ module Fig4 = struct
     let g_unreduced = Stamp.join ~reduce:false d1 f1 in
     (* the published rewrite chain: [1|00+01+1] -> [1|0+1] -> [eps|eps] *)
     let mid =
-      let module N = Backend.Over_tree.Name in
+      let module N = Name_tree in
       Stamp.make
         ~update:(N.of_strings [ "1" ])
         ~id:(N.of_strings [ "0"; "1" ])

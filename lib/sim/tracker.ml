@@ -29,15 +29,17 @@ type packed = Packed : (module S with type t = 'a and type state = 'b) -> packed
 
 let name (Packed (module T)) = T.name
 
-(* One stamp adapter for every name backend (and both join flavours):
-   the three hand-written copies this replaces differed only in the
-   stamp module and the [reduce] flag. *)
+(* One stamp adapter for both name representations and both join
+   flavours: the trackers differ only in the stamp module and the
+   [reduce] flag. *)
 module Of_stamp (B : sig
   val name : string
 
   val reduce : bool
 
-  include Backend.S
+  module Name : Name_intf.S
+
+  module Stamp : Stamp.S with type name = Name.t
 end) : S with type t = B.Stamp.t and type state = unit = struct
   module I = Invariants.Make (B.Name) (B.Stamp)
 
@@ -64,17 +66,13 @@ end) : S with type t = B.Stamp.t and type state = unit = struct
   let pp = B.Stamp.pp
 end
 
-(* The tree backend keeps its historical bare name; others are
-   suffixed with their registry key. *)
-let stamp_tracker_name key =
-  if String.equal key Backend.default_key then "stamps" else "stamps-" ^ key
-
 module Stamps = Of_stamp (struct
   let name = "stamps"
 
   let reduce = true
 
-  include Backend.Over_tree
+  module Name = Name_tree
+  module Stamp = Stamp
 end)
 
 module Stamps_nonreducing = Of_stamp (struct
@@ -83,7 +81,7 @@ module Stamps_nonreducing = Of_stamp (struct
   let reduce = false
 
   module Name = Name_tree
-  module Stamp = Stamp.Over_tree
+  module Stamp = Stamp
 end)
 
 module Stamps_list = Of_stamp (struct
@@ -91,15 +89,8 @@ module Stamps_list = Of_stamp (struct
 
   let reduce = true
 
-  include Backend.Over_list
-end)
-
-module Stamps_packed = Of_stamp (struct
-  let name = "stamps-packed"
-
-  let reduce = true
-
-  include Backend.Over_packed
+  module Name = Name
+  module Stamp = Stamp.Over_list
 end)
 
 module Histories :
@@ -236,33 +227,6 @@ let stamps_nonreducing = Packed (module Stamps_nonreducing)
 
 let stamps_list = Packed (module Stamps_list)
 
-let stamps_packed = Packed (module Stamps_packed)
-
-(* Build a stamp tracker from any backend value, e.g. one freshly pulled
-   out of the registry. *)
-let of_backend ?(reduce = true) ~name b =
-  let module B = (val b : Backend.S) in
-  let module T = Of_stamp (struct
-    let name = name
-
-    let reduce = reduce
-
-    include B
-  end) in
-  Packed (module T)
-
-(* One stamp tracker per registered backend, in registry (key) order.
-   The three in-tree backends resolve to the statically built modules
-   above so their [t] types stay equal to the exposed ones. *)
-let of_registry () =
-  List.map
-    (fun (e : Backend.entry) ->
-      match e.key with
-      | "tree" -> stamps
-      | "list" -> stamps_list
-      | "packed" -> stamps_packed
-      | key -> of_backend ~name:(stamp_tracker_name key) e.impl)
-    (Backend.entries ())
 
 let histories = Packed (module Histories)
 
@@ -276,13 +240,20 @@ let plausible size =
   end) in
   Packed (module P)
 
-(* The sweep set: the default stamp tracker first (its historical
-   position), the non-reducing variant, then the remaining registry
-   backends, then the baselines. *)
+(* The sweep set: the production stamp tracker first (its historical
+   position), the non-reducing variant, the list-backed specification,
+   then the baselines. *)
 let all =
-  (stamps :: stamps_nonreducing
-   :: List.filter (fun t -> name t <> "stamps") (of_registry ()))
-  @ [ histories; version_vectors; dynamic_vv; plausible 4; plausible 8 ]
+  [
+    stamps;
+    stamps_nonreducing;
+    stamps_list;
+    histories;
+    version_vectors;
+    dynamic_vv;
+    plausible 4;
+    plausible 8;
+  ]
 
 (* Wrap a tracker so every operation (and comparison) is timed into a
    registry histogram — per-mechanism op latency without touching the

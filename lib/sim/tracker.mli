@@ -43,16 +43,18 @@ type packed = Packed : (module S with type t = 'a and type state = 'b) -> packed
 
 val name : packed -> string
 
-(** One stamp adapter for every name backend: the [Stamps*] modules
-    below are instantiations.  [name] is the tracker's display name,
-    [reduce] selects the Section 6 normal-form join (the Section 4
+(** One stamp adapter for both name representations: the [Stamps*]
+    modules below are instantiations.  [name] is the tracker's display
+    name, [reduce] selects the Section 6 normal-form join (the Section 4
     non-reducing model when [false]). *)
 module Of_stamp (B : sig
   val name : string
 
   val reduce : bool
 
-  include Vstamp_core.Backend.S
+  module Name : Vstamp_core.Name_intf.S
+
+  module Stamp : Vstamp_core.Stamp.S with type name = Name.t
 end) : S with type t = B.Stamp.t and type state = unit
 
 module Stamps : S with type t = Vstamp_core.Stamp.t and type state = unit
@@ -62,9 +64,7 @@ module Stamps_nonreducing :
 
 module Stamps_list :
   S with type t = Vstamp_core.Stamp.Over_list.t and type state = unit
-
-module Stamps_packed :
-  S with type t = Vstamp_core.Stamp.Over_packed.t and type state = unit
+(** Stamps over the list-backed specification names. *)
 
 module Histories :
   S
@@ -85,21 +85,6 @@ val stamps : packed
 val stamps_nonreducing : packed
 
 val stamps_list : packed
-
-val stamps_packed : packed
-
-val of_backend : ?reduce:bool -> name:string -> (module Vstamp_core.Backend.S) -> packed
-(** A stamp tracker over any backend value ([reduce] defaults to
-    [true]); use for backends registered by third parties. *)
-
-val of_registry : unit -> packed list
-(** One stamp tracker per backend in {!Vstamp_core.Backend.entries}
-    order; the default backend keeps the bare name ["stamps"], the
-    others are named ["stamps-<key>"]. *)
-
-val stamp_tracker_name : string -> string
-(** The tracker name for a registry key (["stamps"] /
-    ["stamps-<key>"]). *)
 
 val histories : packed
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Benchmark regression-gate smoke: a quick-mode bench run must feed the
-# ledger, pass its own gate, trip the gate on a synthetic regression,
-# and be refused against a run recorded under a different config.
+# ledger, pass its own gate, trip the gate on a synthetic regression and
+# on a dropped lane, and be refused against a run recorded under a
+# different config.
 # Wired to the @bench-smoke dune alias (see the root dune file); not
 # part of @runtest because the bench lane costs a few wall-clock
 # seconds.
@@ -34,6 +35,25 @@ if "$VSTAMP" bench check --baseline "$tmpdir/run.json" "$tmpdir/slow.json" \
   echo "bench smoke: gate missed a synthetic regression" >&2
   exit 1
 fi
+
+# a lane that vanished (here: one latency case dropped) must trip the
+# gate under the same config, and diff must name it
+sed 's|"ops/stamp/update d8":[0-9.e+-]*,||' \
+  "$tmpdir/run.json" > "$tmpdir/dropped.json"
+if grep -q '"ops/stamp/update d8"' "$tmpdir/dropped.json"; then
+  echo "bench smoke: could not drop a lane from the run" >&2
+  exit 1
+fi
+if "$VSTAMP" bench check --baseline "$tmpdir/run.json" \
+  "$tmpdir/dropped.json" --tolerance 50 >/dev/null 2>&1; then
+  echo "bench smoke: gate passed a run with a missing lane" >&2
+  exit 1
+fi
+"$VSTAMP" bench diff "$tmpdir/run.json" "$tmpdir/dropped.json" \
+  | grep -q 'latency/ops/stamp/update d8' || {
+  echo "bench smoke: diff did not list the missing lane" >&2
+  exit 1
+}
 
 # runs recorded under different configs (here: the same run with its
 # recorded bechamel budget edited) must be refused, not misjudged

@@ -48,8 +48,8 @@ dune build @trace-smoke --force
 echo "== bench smoke (quick bench -> regression gate pass/fail/refuse) =="
 dune build @bench-smoke --force
 
-echo "== backend smoke (every registered backend end to end) =="
-dune build @backend-smoke --force
+echo "== replbench smoke (three workloads, traced replay, correct runs) =="
+dune build @replbench-smoke --force
 
 echo "== serve smoke (soak server, live scrapes, graceful shutdown) =="
 dune build @serve-smoke --force
@@ -82,5 +82,10 @@ dune exec bin/vstamp_cli.exe -- simulate -t stamps -w churn -n 100 \
 dune exec bin/vstamp_cli.exe -- simulate -t stamps -w churn -n 100 \
   --metrics-out "$tmpdir/b.jsonl" >/dev/null
 cmp "$tmpdir/a.jsonl" "$tmpdir/b.jsonl"
+
+echo "== CLI smoke: stamps agree with the causal-history oracle =="
+dune exec bin/vstamp_cli.exe -- simulate -t stamps -w gossip -s 7 -n 120 \
+  > "$tmpdir/oracle.out"
+grep -q "acc=exact" "$tmpdir/oracle.out"
 
 echo "ok"

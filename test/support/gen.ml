@@ -23,11 +23,6 @@ let name_tree ?max_len ?max_width () : Name_tree.t QCheck2.Gen.t =
     (fun n -> Name_tree.of_list (Name.to_list n))
     (name ?max_len ?max_width ())
 
-let name_packed ?max_len ?max_width () : Name_packed.t QCheck2.Gen.t =
-  QCheck2.Gen.map
-    (fun n -> Name_packed.of_list (Name.to_list n))
-    (name ?max_len ?max_width ())
-
 (* A valid trace: ops are generated against the frontier size as the
    trace is built, so every prefix is applicable.  [bias] tilts the
    op mix; sizes stay in [1, max_frontier]. *)

@@ -1,101 +1,39 @@
-(* The backend registry: the in-tree set, lookup behaviour, duplicate
-   rejection, and that registered implementations agree through the
-   Backend.S seam (first-class module access, as the CLI uses it). *)
+(* The Backend.S seam that the replication benchmark instantiates its
+   node and codec with: the default is the production tree
+   representation, and its types are pinned to Stamp's, so the stamps it
+   yields are plain Stamp.t values. *)
 
 open Vstamp_core
 
 let check_bool = Alcotest.(check bool)
 
-let test_keys () =
-  let keys = Backend.keys () in
-  List.iter
-    (fun k ->
-      check_bool (k ^ " registered") true (List.mem k keys))
-    [ "tree"; "list"; "packed" ];
-  Alcotest.(check (list string)) "sorted" (List.sort compare keys) keys;
-  check_bool "default key registered" true
-    (List.mem Backend.default_key keys)
-
-let test_find () =
-  check_bool "find tree" true (Option.is_some (Backend.find "tree"));
-  check_bool "find packed" true (Option.is_some (Backend.find "packed"));
-  check_bool "find unknown" true (Option.is_none (Backend.find "bogus"));
-  check_bool "find_entry doc non-empty" true
-    (match Backend.find_entry "packed" with
-    | Some e -> String.length e.Backend.doc > 0 && e.Backend.key = "packed"
-    | None -> false)
-
-let test_get_unknown_raises () =
-  match Backend.get "bogus" with
-  | _ -> Alcotest.fail "get of unknown key should raise"
-  | exception Invalid_argument msg ->
-      (* the error must list the valid set, as the CLI surfaces it *)
-      check_bool "message names the key" true
-        (String.length msg > 0
-        && List.for_all
-             (fun k ->
-               (* crude substring check *)
-               let rec has i =
-                 i + String.length k <= String.length msg
-                 && (String.sub msg i (String.length k) = k || has (i + 1))
-               in
-               has 0)
-             [ "bogus"; "tree" ])
-
-let test_duplicate_register_raises () =
-  match
-    Backend.register ~key:"tree" ~doc:"dup" (module Backend.Over_tree)
-  with
-  | () -> Alcotest.fail "duplicate key should raise"
-  | exception Invalid_argument _ -> ()
-
-let test_register_of_name () =
-  (* a fresh backend built from Of_name is reachable like the in-tree
-     ones; use a throwaway key so reruns in one process stay safe *)
-  let key = "test-list-alias" in
-  (match Backend.find key with
-  | Some _ -> ()
-  | None ->
-      let module B = Backend.Of_name (Name) in
-      Backend.register ~key ~doc:"list spec under a test alias" (module B));
-  check_bool "alias reachable" true (Option.is_some (Backend.find key));
-  check_bool "alias listed" true (List.mem key (Backend.keys ()))
-
 let test_first_class_use () =
-  (* drive an arbitrary registered backend through the seam exactly the
-     way the CLI and smoke tooling do *)
-  List.iter
-    (fun key ->
-      let module B = (val Backend.get key) in
-      let s = B.Stamp.update B.Stamp.seed in
-      let a, b = B.Stamp.fork s in
-      let j = B.Stamp.join (B.Stamp.update a) b in
-      check_bool (key ^ " well-formed after ops") true (B.Stamp.well_formed j);
-      check_bool (key ^ " update visible") true (B.Stamp.has_updates j))
-    (Backend.keys ())
+  (* drive the default through the seam exactly the way the benchmark
+     does: unpack it, then apply the node and codec functors *)
+  let module B = (val Backend.default) in
+  let module C = Vstamp_codec.Wire.Make (B) in
+  let s = B.Stamp.update B.Stamp.seed in
+  let a, b = B.Stamp.fork s in
+  let j = B.Stamp.join (B.Stamp.update a) b in
+  check_bool "well-formed after ops" true (B.Stamp.well_formed j);
+  check_bool "update visible" true (B.Stamp.has_updates j);
+  check_bool "same stamp as Stamp" true
+    (Stamp.equal j (Stamp.join (Stamp.update (fst (Stamp.fork s))) b));
+  Alcotest.(check string)
+    "codec functor is the plain codec" (Vstamp_codec.Wire.stamp_to_string j)
+    (C.stamp_to_string j)
 
 let test_default_is_tree () =
   Alcotest.(check string) "default key" "tree" Backend.default_key;
   let module D = (val Backend.default) in
-  let module T = (val Backend.get "tree") in
-  check_bool "default seed equals tree seed"
-    true
-    (String.equal (D.Stamp.to_string D.Stamp.seed)
-       (T.Stamp.to_string T.Stamp.seed))
+  check_bool "default seed equals Stamp.seed" true
+    (Stamp.equal D.Stamp.seed Stamp.seed);
+  check_bool "default names are tries" true
+    (Name_tree.equal D.Name.bottom Name_tree.bottom)
 
 let () =
   Alcotest.run "backend"
     [
-      ( "registry",
-        [
-          Alcotest.test_case "in-tree keys" `Quick test_keys;
-          Alcotest.test_case "find" `Quick test_find;
-          Alcotest.test_case "get unknown raises" `Quick
-            test_get_unknown_raises;
-          Alcotest.test_case "duplicate register raises" `Quick
-            test_duplicate_register_raises;
-          Alcotest.test_case "register Of_name" `Quick test_register_of_name;
-        ] );
       ( "seam",
         [
           Alcotest.test_case "first-class use" `Quick test_first_class_use;

@@ -170,6 +170,35 @@ let test_config_compatibility () =
   | Ok ds -> Alcotest.failf "expected one delta, got %d" (List.length ds)
   | Error m -> Alcotest.failf "legacy compare refused: %s" m
 
+(* a lane that vanishes must not pass the gate silently: the deltas
+   cover only the intersection, so the dropped metric is listed apart *)
+let test_missing_lane () =
+  let baseline = mk_run () in
+  let current =
+    run_of_json
+      (Obj
+         [
+           ("schema", String "vstamp-bench-core/3");
+           ("seed", Int 7);
+           ("config", Obj [ ("quick", Bool false) ]);
+           ("op_latency_ns", Obj [ ("ops/stamp/join d8", Float 100.0) ]);
+         ])
+  in
+  (match BS.config_compatibility ~baseline ~current with
+  | `Same -> ()
+  | _ -> Alcotest.fail "same config expected");
+  let missing = BS.missing_metrics ~baseline current in
+  check_bool "dropped latency lane listed" true
+    (List.mem "latency/ops/stamp/update d8" missing);
+  check_bool "dropped size lane listed" true
+    (List.mem "size/uniform/n=100/stamps/p95_bits" missing);
+  check_bool "kept lane not listed" false
+    (List.mem "latency/ops/stamp/join d8" missing);
+  check_bool "timed-out baseline lane not listed" false
+    (List.mem "latency/ablation/list/join:12" missing);
+  check_int "nothing missing against itself" 0
+    (List.length (BS.missing_metrics ~baseline baseline))
+
 let test_zero_baseline () =
   let d =
     match
@@ -245,6 +274,7 @@ let () =
           Alcotest.test_case "config compatibility" `Quick
             test_config_compatibility;
           Alcotest.test_case "zero baseline" `Quick test_zero_baseline;
+          Alcotest.test_case "missing lane" `Quick test_missing_lane;
         ] );
       ( "ledger",
         [

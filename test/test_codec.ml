@@ -135,84 +135,63 @@ let test_wire_stamp_bits_close_to_size () =
         (bits <= (4 * (Stamp.size_bits s + 4)) && bits >= 4))
     stamps
 
-(* --- Wire: backend genericity --- *)
+(* --- Wire: golden vectors --- *)
 
-module Wire_list = Wire.Make (Backend.Over_list)
-module Wire_packed = Wire.Make (Backend.Over_packed)
+(* The vstamp-sync/1 bytes, pinned: round trips alone would accept any
+   self-consistent format, so these literals are the format guard. *)
 
-let as_list_stamp s =
-  Stamp.Over_list.make_unchecked
-    ~update:(Name.of_list (Name_tree.to_list (Stamp.update_name s)))
-    ~id:(Name.of_list (Name_tree.to_list (Stamp.id s)))
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
 
-let as_packed_stamp s =
-  Stamp.Over_packed.make_unchecked
-    ~update:(Name_packed.of_list (Name_tree.to_list (Stamp.update_name s)))
-    ~id:(Name_packed.of_list (Name_tree.to_list (Stamp.id s)))
-
-(* regression for the codec/backend coupling: the wire bytes are a
-   function of the antichain, never of the in-memory representation *)
-let test_wire_backend_byte_identity () =
-  List.iter
-    (fun s ->
-      let tree_bytes = Wire.stamp_to_string s in
-      Alcotest.(check string)
-        ("list bytes for " ^ Stamp.to_string s)
-        tree_bytes
-        (Wire_list.stamp_to_string (as_list_stamp s));
-      Alcotest.(check string)
-        ("packed bytes for " ^ Stamp.to_string s)
-        tree_bytes
-        (Wire_packed.stamp_to_string (as_packed_stamp s)))
-    stamps
-
-let test_wire_list_stamp_roundtrip () =
-  List.iter
-    (fun s ->
-      let l = as_list_stamp s in
-      let bytes = Wire_list.stamp_to_string l in
-      match Wire_list.stamp_of_string bytes with
-      | Ok l' ->
-          check_bool
-            ("round trip " ^ Stamp.to_string s)
-            true
-            (Stamp.Over_list.equal l l');
-          Alcotest.(check string)
-            "re-encode is byte-identical" bytes
-            (Wire_list.stamp_to_string l')
-      | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_error e)
-    stamps
-
-let test_wire_cross_backend_decode () =
-  (* bytes written by one backend decode under any other *)
-  List.iter
-    (fun s ->
-      let bytes = Wire.stamp_to_string s in
-      (match Wire_packed.stamp_of_string bytes with
-      | Ok p ->
-          check_bool "packed decodes tree bytes" true
-            (Stamp.Over_packed.equal p (as_packed_stamp s))
-      | Error e -> Alcotest.failf "packed decode failed: %a" Wire.pp_error e);
-      match Wire_list.stamp_of_string bytes with
-      | Ok l ->
-          check_bool "list decodes tree bytes" true
-            (Stamp.Over_list.equal l (as_list_stamp s))
-      | Error e -> Alcotest.failf "list decode failed: %a" Wire.pp_error e)
-    stamps
-
-let test_wire_list_rejects_bad_i1 () =
-  let bad =
-    Stamp.Over_list.make_unchecked
-      ~update:(Name.of_strings [ "0" ])
-      ~id:(Name.of_strings [ "1" ])
+(* fork (update s), then join the two halves without reduction: ids
+   fragment one digit deeper per step *)
+let deep_stamp depth =
+  let rec go s k =
+    if k = 0 then s
+    else
+      let a, b = Stamp.fork (Stamp.update s) in
+      go (Stamp.join ~reduce:false (Stamp.update a) b) (k - 1)
   in
-  let bytes = Wire_list.stamp_to_string bad in
-  (match Wire_list.stamp_of_string ~validate:true bytes with
-  | Error (Wire.Malformed _) -> ()
-  | _ -> Alcotest.fail "expected Malformed under validation");
-  match Wire_list.stamp_of_string ~validate:false bytes with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "validation off should accept"
+  go Stamp.seed depth
+
+let deep8_hex =
+  "ff4a694e94d29e94d29d29a53e94d29d29a53d29a53a534a7e94d29d29a53d29a53a534a7"
+  ^ "d29a53a534a7a534a74a694fe94d29d29a53d29a53a534a7d29a53a534a7a534a74a694f"
+  ^ "d29a53a534a7a534a74a694fa534a74a694f4a694e94d29feb5d6bd6bad7d6bad7ad75af"
+  ^ "d6bad7ad75afad75af5aeb5fd6bad7ad75afad75af5aeb5fad75af5aeb5f5aeb5eb5d6bf"
+  ^ "d6bad7ad75afad75af5aeb5fad75af5aeb5f5aeb5eb5d6bfad75af5aeb5f5aeb5eb5d6bf"
+  ^ "5aeb5eb5d6beb5d6bd6bad4"
+
+let check_golden s expected =
+  let bytes = Wire.stamp_to_string s in
+  Alcotest.(check string)
+    ("bytes of " ^ Stamp.to_string s)
+    expected (hex bytes);
+  match Wire.stamp_of_string bytes with
+  | Ok s' -> check_bool "golden bytes decode back" true (Stamp.equal s s')
+  | Error e -> Alcotest.failf "golden decode failed: %a" Wire.pp_error e
+
+let test_wire_golden_stamps () =
+  List.iter2 check_golden stamps [ "50"; "8e28"; "28"; "d4d5" ]
+
+let test_wire_golden_deep () =
+  let s = deep_stamp 8 in
+  check_golden s deep8_hex;
+  (* the paper's space metric is not the wire size *)
+  check_int "size_bits (paper metric)" 3072 (Stamp.size_bits s);
+  check_int "stamp_bits (encoded)" 1534 (Wire.stamp_bits s);
+  check_int "encoded bytes" 192 (String.length (Wire.stamp_to_string s))
+
+let test_wire_golden_hello () =
+  let module P = Vstamp_net.Proto in
+  let h =
+    { P.node_id = "n1"; backend = Backend.default_key; proto = P.version }
+  in
+  Alcotest.(check string) "Hello"
+    "010d767374616d702d73796e632f3101026e310474726565"
+    (hex (P.encode (P.Hello h)))
 
 (* --- Wire: version vectors --- *)
 
@@ -349,16 +328,11 @@ let () =
             test_wire_stamp_bits_close_to_size;
           Alcotest.test_case "vv round trip" `Quick test_wire_vv_roundtrip;
         ] );
-      ( "wire backends",
+      ( "golden format",
         [
-          Alcotest.test_case "byte identity across backends" `Quick
-            test_wire_backend_byte_identity;
-          Alcotest.test_case "list stamp round trip" `Quick
-            test_wire_list_stamp_roundtrip;
-          Alcotest.test_case "cross-backend decode" `Quick
-            test_wire_cross_backend_decode;
-          Alcotest.test_case "list rejects bad I1" `Quick
-            test_wire_list_rejects_bad_i1;
+          Alcotest.test_case "codec test stamps" `Quick test_wire_golden_stamps;
+          Alcotest.test_case "depth-8 stamp" `Quick test_wire_golden_deep;
+          Alcotest.test_case "hello" `Quick test_wire_golden_hello;
         ] );
       ( "text",
         [

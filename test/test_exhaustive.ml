@@ -179,7 +179,7 @@ let all_traces ~len ~cap =
   in
   extend 1 [] len
 
-module Corr = Correspondence.Make (Stamp.Over_tree)
+module Corr = Correspondence.Make (Stamp)
 
 let check_all_traces len cap =
   let traces = all_traces ~len ~cap in

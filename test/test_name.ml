@@ -376,6 +376,18 @@ let cross_props =
         Name.cardinal x = Name_tree.cardinal t
         && Name.total_bits x = Name_tree.total_bits t
         && Name.max_depth x = Name_tree.max_depth t);
+    QCheck2.Test.make ~name:"incomparable_with agrees across implementations"
+      ~count:500 gen2 (fun (x, y) ->
+        Name.incomparable_with x y
+        = Name_tree.incomparable_with (to_tree x) (to_tree y));
+    QCheck2.Test.make ~name:"append_digit agrees across implementations"
+      ~count:500 (Vstamp_test_support.Gen.name ()) (fun x ->
+        List.for_all
+          (fun d ->
+            Name.equal (Name.append_digit d x)
+              (Name.of_list
+                 (Name_tree.to_list (Name_tree.append_digit d (to_tree x)))))
+          [ Bits.Zero; Bits.One ]);
   ]
 
 let () =

@@ -6,7 +6,7 @@
 open Vstamp_net
 module Registry = Vstamp_obs.Registry
 module Metric = Vstamp_obs.Metric
-module N = Node.Make (Vstamp_core.Backend.Over_tree)
+module N = Node
 
 let check_bool = Alcotest.(check bool)
 
@@ -121,8 +121,8 @@ let prop_proto_truncation =
 
 let with_node ?(peers = fun _ -> []) ~registry ~node_id f =
   let t =
-    N.create ~registry ~interval_s:0.05 ~idle_timeout_s:5.0 ~node_id
-      ~backend:"tree" ~port:0 ~peers:(peers ()) ()
+    N.create ~registry ~interval_s:0.05 ~idle_timeout_s:5.0 ~node_id ~port:0
+      ~peers:(peers ()) ()
   in
   Fun.protect ~finally:(fun () -> N.stop t) (fun () -> f t)
 
@@ -281,7 +281,7 @@ let test_stop_responder_under_load () =
   let ra = Registry.create () and rb = Registry.create () in
   let a =
     N.create ~registry:ra ~interval_s:0.01 ~idle_timeout_s:5.0 ~node_id:"a"
-      ~backend:"tree" ~port:0 ~peers:[] ()
+      ~port:0 ~peers:[] ()
   in
   Fun.protect
     ~finally:(fun () -> N.stop a (* idempotent *))

@@ -239,7 +239,7 @@ struct
 end
 
 module Tree_suite =
-  Suite (Name_tree) (Stamp.Over_tree)
+  Suite (Name_tree) (Stamp)
     (struct
       let label = "tree"
     end)
@@ -250,18 +250,12 @@ module List_suite =
       let label = "list"
     end)
 
-module Packed_suite =
-  Suite (Name_packed) (Stamp.Over_packed)
-    (struct
-      let label = "packed"
-    end)
-
 (* --- cross-implementation properties over random traces --- *)
 
-let to_list_stamp (s : Stamp.Over_tree.t) : Stamp.Over_list.t =
+let to_list_stamp (s : Stamp.t) : Stamp.Over_list.t =
   Stamp.Over_list.make_unchecked
-    ~update:(Name.of_list (Name_tree.to_list (Stamp.Over_tree.update_name s)))
-    ~id:(Name.of_list (Name_tree.to_list (Stamp.Over_tree.id s)))
+    ~update:(Name.of_list (Name_tree.to_list (Stamp.update_name s)))
+    ~id:(Name.of_list (Name_tree.to_list (Stamp.id s)))
 
 let cross_props =
   let trace_gen = Vstamp_test_support.Gen.trace () in
@@ -297,5 +291,5 @@ let cross_props =
 
 let () =
   Alcotest.run "stamp"
-    (Tree_suite.tests @ List_suite.tests @ Packed_suite.tests
+    (Tree_suite.tests @ List_suite.tests
     @ [ ("cross/trace properties", List.map QCheck_alcotest.to_alcotest cross_props) ])

@@ -9,7 +9,7 @@ open Vstamp_kvs
 module Ledger = Vstamp_sync.Ledger
 module Registry = Vstamp_obs.Registry
 module Metric = Vstamp_obs.Metric
-module St = Vstamp_core.Stamp.Over_tree
+module St = Vstamp_core.Stamp
 
 let check_bool = Alcotest.(check bool)
 

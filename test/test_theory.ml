@@ -9,7 +9,7 @@
      oracle, demonstrating the differential harness has teeth. *)
 
 open Vstamp_core
-module Corr = Correspondence.Make (Stamp.Over_tree)
+module Corr = Correspondence.Make (Stamp)
 module Corr_list = Correspondence.Make (Stamp.Over_list)
 
 let trace_gen ?bias ?max_frontier ?max_len () =
